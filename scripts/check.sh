@@ -22,7 +22,8 @@
 #             coordinator-routed ingest retry-safety (tests/cluster_test.cc)
 #   tsan      the scenario + streaming + concurrency tiers rebuilt with
 #             -DPHOCUS_SANITIZE=thread (the WAL crash matrix runs in the
-#             TSan tree too)
+#             TSan tree too), plus the service and coordinator loopback
+#             suites that drive the shared serving core
 #
 # Usage: scripts/check.sh [unit|scenario|fuzz|perf|obs|streaming|cluster|tsan|all]
 # (default: all)
@@ -79,8 +80,10 @@ tier_tsan() {
   # The streaming suite drives concurrent ingests against phocusd sessions
   # (replans racing ingest), so it earns a TSan pass of its own.
   run_label "$TSAN_DIR" streaming
+  # Both daemons run the shared serving core (accept, reap, frame loop,
+  # drain), so its loopback suites get a TSan pass too.
   (cd "$TSAN_DIR" && \
-    ctest -R "Concurrency|ThreadPool|SolverEquivalence|LshEquivalence" \
+    ctest -R "Concurrency|ThreadPool|SolverEquivalence|LshEquivalence|CoordinatorLoopback|ServiceTest|WireTest" \
     --output-on-failure -j "$JOBS")
 }
 

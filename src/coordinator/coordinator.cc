@@ -1,7 +1,7 @@
 #include "coordinator/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
+#include <initializer_list>
 #include <utility>
 
 #include "telemetry/flight_recorder.h"
@@ -34,12 +34,6 @@ bool IsSessionVerb(const std::string& endpoint) {
          endpoint == "ingest" || endpoint == "ingest_flush";
 }
 
-bool IsIdempotentVerb(const std::string& endpoint) {
-  // Delegates to the protocol-level whitelist so the coordinator and
-  // ServiceClient can never disagree about what is safe to resend.
-  return service::IsIdempotentEndpoint(endpoint);
-}
-
 int HealthRank(const std::string& status) {
   if (status == "ok") return 0;
   if (status == "overloaded") return 1;
@@ -58,6 +52,30 @@ const char* HealthName(int rank) {
 
 double SumField(const Json& object, const char* key) {
   return object.GetOr(key, 0.0).AsDouble();
+}
+
+/// Adds each of `keys` from `from` into `into` (absent fields count as 0).
+void AddFields(Json* into, const Json& from,
+               std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    into->Set(key, SumField(*into, key) + SumField(from, key));
+  }
+}
+
+service::FrameServerOptions CoreOptions(const CoordinatorOptions& options) {
+  auto& registry = telemetry::MetricsRegistry::Current();
+  service::FrameServerOptions core;
+  core.host = options.host;
+  core.port = options.port;
+  core.max_frame_bytes = options.max_frame_bytes;
+  core.name = "phocus_coordinator";
+  core.drain_event = "coordinator.drain";
+  core.crash_event = "coordinator.crash";
+  core.connections = &registry.GetCounter("coordinator.connections");
+  core.bytes_in = &registry.GetCounter("coordinator.bytes_in");
+  core.bytes_out = &registry.GetCounter("coordinator.bytes_out");
+  core.respond_ns = &registry.GetHistogram("coordinator.respond_ns");
+  return core;
 }
 
 }  // namespace
@@ -94,7 +112,11 @@ void MergeMetricsJson(Json* into, const Json& from) {
 }
 
 CoordinatorServer::CoordinatorServer(CoordinatorOptions options)
-    : options_(std::move(options)), ring_(options_.virtual_nodes) {
+    : options_(std::move(options)),
+      ring_(options_.virtual_nodes),
+      core_(CoreOptions(options_), [this](const service::Request& request) {
+        return Serve(request);
+      }) {
   PHOCUS_CHECK(!options_.shards.empty(),
                "coordinator requires at least one shard");
   for (const ShardAddress& shard : options_.shards) {
@@ -116,189 +138,49 @@ CoordinatorServer::CoordinatorServer(CoordinatorOptions options)
   pool_ = std::make_unique<ShardPool>(options_.shards, std::move(pool_options));
 }
 
-CoordinatorServer::~CoordinatorServer() {
-  RequestShutdown();
-  if (started_.load()) {
-    std::call_once(shutdown_once_, [this] { FinishShutdown(); });
-  }
-}
-
 void CoordinatorServer::Start() {
-  PHOCUS_CHECK(!started_.load(), "Start called twice");
-  listener_ =
-      std::make_unique<service::ListenSocket>(options_.host, options_.port);
-  port_ = listener_->port();
+  PHOCUS_CHECK(fanout_pool_ == nullptr, "Start called twice");
   const std::size_t workers = options_.fanout_workers > 0
                                   ? options_.fanout_workers
                                   : options_.shards.size();
   fanout_pool_ = std::make_unique<ThreadPool>(workers);
-  started_.store(true);
-  accept_thread_ = std::thread(&CoordinatorServer::AcceptLoop, this);
+  core_.Start();
   PHOCUS_LOG(kInfo) << "phocus_coordinator listening on " << options_.host
-                    << ":" << port_ << " fronting " << options_.shards.size()
+                    << ":" << port() << " fronting " << options_.shards.size()
                     << " shard(s)";
 }
 
-void CoordinatorServer::RequestShutdown() {
-  {
-    std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  if (!draining_.exchange(true)) {
-    telemetry::FlightRecorder::Record("coordinator.drain", "requested");
-  }
-  shutdown_cv_.notify_all();
-}
-
-void CoordinatorServer::Wait() {
-  {
-    std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
-  }
-  if (started_.load()) {
-    std::call_once(shutdown_once_, [this] { FinishShutdown(); });
-  }
-}
-
-void CoordinatorServer::FinishShutdown() {
-  if (listener_ != nullptr) listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  while (true) {
-    bool all_done = true;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      for (const auto& connection : connections_) {
-        if (connection->done.load()) continue;
-        all_done = false;
-        if (!connection->busy.load()) connection->socket.ShutdownBoth();
-      }
-    }
-    if (all_done) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::lock_guard<std::mutex> lock(connections_mutex_);
-  for (auto& connection : connections_) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  connections_.clear();
-  telemetry::FlightRecorder::Record("coordinator.drain", "drained");
-  PHOCUS_LOG(kInfo) << "phocus_coordinator drained and stopped";
-}
-
-void CoordinatorServer::AcceptLoop() {
-  auto& connection_counter = telemetry::MetricsRegistry::Current().GetCounter(
-      "coordinator.connections");
-  while (true) {
-    service::Socket socket = listener_->Accept();
-    if (!socket.valid()) break;  // listener shut down
-    if (draining_.load()) continue;
-    connection_counter.Increment();
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->done.load()) {
-        if ((*it)->thread.joinable()) (*it)->thread.join();
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    connections_.push_back(std::make_unique<Connection>());
-    Connection* connection = connections_.back().get();
-    connection->socket = std::move(socket);
-    connection->thread =
-        std::thread(&CoordinatorServer::ServeConnection, this, connection);
-  }
-}
-
-void CoordinatorServer::ServeConnection(Connection* connection) {
-  service::FrameDecoder decoder(options_.max_frame_bytes);
-  std::string chunk;
-  try {
-    while (true) {
-      std::string frame;
-      const service::FrameDecoder::Status status = decoder.Next(&frame);
-      if (status == service::FrameDecoder::Status::kTooLarge) {
-        connection->socket.SendAll(service::EncodeFrame(MakeErrorResponse(
-            0, ErrorCode::kFrameTooLarge,
-            StrFormat("frame exceeds %zu bytes", decoder.max_frame_bytes()))));
-        break;
-      }
-      if (status == service::FrameDecoder::Status::kNeedMore) {
-        if (draining_.load()) break;
-        chunk.clear();
-        if (!connection->socket.RecvSome(&chunk)) break;  // clean EOF
-        decoder.Append(chunk);
-        continue;
-      }
-      connection->busy.store(true);
-      Json response;
-      try {
-        response = Process(Json::Parse(frame));
-      } catch (const failpoint::InjectedCrash&) {
-        throw;
-      } catch (const CheckFailure& failure) {
-        response = MakeErrorResponse(0, ErrorCode::kBadRequest, failure.what());
-      }
-      connection->socket.SendAll(service::EncodeFrame(response));
-      connection->busy.store(false);
-    }
-  } catch (const failpoint::InjectedCrash& crash) {
-    // Same contract as phocusd's connection threads: an injected crash
-    // kills this request's connection, not the whole coordinator.
-    telemetry::FlightRecorder::Record("coordinator.crash");
-    telemetry::FlightRecorder::WriteCrashDump();
-    PHOCUS_LOG(kError) << "injected crash on coordinator connection: "
-                       << crash.what();
-  } catch (const CheckFailure&) {
-    // Peer vanished mid-read or mid-write.
-  }
-  connection->socket.ShutdownBoth();
-  connection->busy.store(false);
-  connection->done.store(true);
-}
-
-Json CoordinatorServer::Process(const Json& request) {
-  std::uint64_t id = 0;
-  std::string endpoint;
-  std::string request_id;
-  Json params = Json::Object();
-  try {
-    id = static_cast<std::uint64_t>(request.GetOr("id", 0).AsInt());
-    endpoint = request.Get("endpoint").AsString();
-    request_id = request.GetOr("request_id", "").AsString();
-    params = request.GetOr("params", Json::Object());
-  } catch (const CheckFailure& failure) {
-    return MakeErrorResponse(id, ErrorCode::kBadRequest, failure.what());
-  }
+service::Reply CoordinatorServer::Serve(const service::Request& request) {
   auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("coordinator.requests").Increment();
-  Json response;
+  service::Reply reply;
   try {
-    response = Dispatch(id, endpoint, params, request_id);
+    reply.response = Dispatch(request);
   } catch (const failpoint::InjectedCrash&) {
     throw;
   } catch (const ServiceError& error) {
-    response = MakeErrorResponse(id, error.code(), error.message());
+    reply.response =
+        MakeErrorResponse(request.id, error.code(), error.message());
   } catch (const CheckFailure& failure) {
-    response = MakeErrorResponse(id, ErrorCode::kBadRequest, failure.what());
+    reply.response =
+        MakeErrorResponse(request.id, ErrorCode::kBadRequest, failure.what());
   } catch (const std::exception& error) {
-    response = MakeErrorResponse(id, ErrorCode::kInternal, error.what());
+    reply.response =
+        MakeErrorResponse(request.id, ErrorCode::kInternal, error.what());
   }
-  const bool succeeded = response.GetOr("ok", false).AsBool();
+  const bool succeeded = reply.response.GetOr("ok", false).AsBool();
   registry
       .GetCounter(succeeded ? "coordinator.responses.ok"
                             : "coordinator.responses.error")
       .Increment();
-  // Echo the client's request id on every response shape, exactly as
-  // phocusd does — the same id now correlates client, coordinator and
-  // shard logs.
-  if (!request_id.empty()) response.Set("request_id", request_id);
-  return response;
+  return reply;
 }
 
-Json CoordinatorServer::Dispatch(std::uint64_t id, const std::string& endpoint,
-                                 const Json& params,
-                                 const std::string& request_id) {
+Json CoordinatorServer::Dispatch(const service::Request& request) {
+  const std::uint64_t id = request.id;
+  const std::string& endpoint = request.endpoint;
+  const Json& params = request.params;
+  const std::string& request_id = request.request_id;
   // Control plane first: health and observability verbs answer even while
   // draining, mirroring phocusd.
   if (endpoint == "ping") {
@@ -335,7 +217,7 @@ Json CoordinatorServer::Dispatch(std::uint64_t id, const std::string& endpoint,
     return MakeOkResponse(id, std::move(result));
   }
 
-  if (draining_.load()) {
+  if (core_.draining()) {
     return MakeErrorResponse(id, ErrorCode::kShuttingDown,
                              "coordinator is draining");
   }
@@ -383,22 +265,8 @@ Json CoordinatorServer::RouteCreateSession(const Json& params,
               .AsString();
   }
   if (key.empty()) key = params.Dump();
-  const std::string& shard_name = ring_.ShardFor(key);
-  const std::size_t shard = pool_->IndexOf(shard_name);
-  telemetry::FlightRecorder::Record("coordinator.route",
-                                    telemetry::InternedName(shard_name),
-                                    shard);
-  const Stopwatch timer;
-  Json result = pool_->Call(shard, "create_session", params, request_id,
-                            /*idempotent=*/false);
-  telemetry::MetricsRegistry::Current()
-      .GetHistogram("coordinator.route_ns")
-      .Record(static_cast<double>(timer.ElapsedNanos()));
-  telemetry::MetricsRegistry::Current()
-      .GetCounter("coordinator.proxied")
-      .Increment();
-  ScopeSessionField(&result, shard_name);
-  return result;
+  return Proxy(pool_->IndexOf(ring_.ShardFor(key)), "create_session", params,
+               request_id);
 }
 
 Json CoordinatorServer::RouteSessionVerb(const std::string& endpoint,
@@ -423,18 +291,24 @@ Json CoordinatorServer::RouteSessionVerb(const std::string& endpoint,
   }
   Json forwarded = params;
   forwarded.Set("session", local);
+  return Proxy(shard, endpoint, std::move(forwarded), request_id);
+}
+
+Json CoordinatorServer::Proxy(std::size_t shard, const std::string& endpoint,
+                              Json params, const std::string& request_id) {
+  const std::string& shard_name = pool_->address(shard).name;
   telemetry::FlightRecorder::Record("coordinator.route",
                                     telemetry::InternedName(shard_name),
                                     shard);
   const Stopwatch timer;
-  Json result = pool_->Call(shard, endpoint, std::move(forwarded), request_id,
-                            IsIdempotentVerb(endpoint));
-  telemetry::MetricsRegistry::Current()
-      .GetHistogram("coordinator.route_ns")
+  // The protocol-level whitelist decides retry safety, so the coordinator
+  // and ServiceClient can never disagree about what is safe to resend.
+  Json result = pool_->Call(shard, endpoint, std::move(params), request_id,
+                            service::IsIdempotentEndpoint(endpoint));
+  auto& registry = telemetry::MetricsRegistry::Current();
+  registry.GetHistogram("coordinator.route_ns")
       .Record(static_cast<double>(timer.ElapsedNanos()));
-  telemetry::MetricsRegistry::Current()
-      .GetCounter("coordinator.proxied")
-      .Increment();
+  registry.GetCounter("coordinator.proxied").Increment();
   ScopeSessionField(&result, shard_name);
   return result;
 }
@@ -495,19 +369,21 @@ Json CoordinatorServer::MergedHealthz(const std::string& request_id) {
     shards.Append(std::move(entry));
   }
   const bool degraded = reachable < replies.size();
+  const bool draining = core_.draining();
   Json result = Json::Object();
-  if (draining_.load()) {
+  if (draining) {
     result.Set("status", "draining");
   } else if (reachable == 0) {
     result.Set("status", "unavailable");
   } else {
     result.Set("status", HealthName(std::max(worst, 0)));
   }
+  result.Set("draining", draining);
   result.Set("degraded", degraded);
   result.Set("shards", std::move(shards));
   Json self = Json::Object();
   self.Set("role", "coordinator");
-  self.Set("draining", draining_.load());
+  self.Set("draining", draining);
   self.Set("shards_total", replies.size());
   self.Set("shards_reachable", reachable);
   result.Set("coordinator", std::move(self));
@@ -534,8 +410,11 @@ Json CoordinatorServer::MergedMetrics(const std::string& request_id) {
     const Json server = replies[i].result.GetOr("server", Json::Object());
     queue_depth += SumField(server, "queue_depth");
     sessions += SumField(server, "sessions");
-    for (const Json& record :
-         replies[i].result.GetOr("slow_requests", Json::Array()).items()) {
+    // Bind before iterating: GetOr returns by value, and a range-for over
+    // a member of that temporary would walk a destroyed array.
+    const Json shard_slow =
+        replies[i].result.GetOr("slow_requests", Json::Array());
+    for (const Json& record : shard_slow.items()) {
       Json tagged = record;
       tagged.Set("shard", pool_->address(i).name);
       slow.Append(std::move(tagged));
@@ -545,7 +424,7 @@ Json CoordinatorServer::MergedMetrics(const std::string& request_id) {
   server.Set("role", "coordinator");
   server.Set("shards", replies.size());
   server.Set("shards_reachable", reachable);
-  server.Set("draining", draining_.load());
+  server.Set("draining", core_.draining());
   server.Set("queue_depth", queue_depth);
   server.Set("sessions", sessions);
   Json result = Json::Object();
@@ -560,38 +439,23 @@ Json CoordinatorServer::MergedMetrics(const std::string& request_id) {
 Json CoordinatorServer::MergedStats(const std::string& request_id) {
   const std::vector<ShardReply> replies =
       FanOut("stats", Json::Object(), request_id);
-  double queue_depth = 0.0;
-  double queue_capacity = 0.0;
-  double sessions = 0.0;
-  double cache_size = 0.0;
-  double cache_capacity = 0.0;
-  double cache_hits = 0.0;
-  double cache_misses = 0.0;
+  const auto kServerFields = {"queue_depth", "queue_capacity", "sessions"};
+  const auto kCacheFields = {"size", "capacity", "hits", "misses"};
+  Json result = Json::Object();
+  Json cache = Json::Object();
+  AddFields(&result, Json::Object(), kServerFields);  // zeros, in key order
+  AddFields(&cache, Json::Object(), kCacheFields);
   Json merged = telemetry::MetricsToJson(
       telemetry::MetricsRegistry::Current().Snapshot());
   std::size_t reachable = 0;
   for (const ShardReply& reply : replies) {
     if (!reply.ok) continue;
     ++reachable;
-    queue_depth += SumField(reply.result, "queue_depth");
-    queue_capacity += SumField(reply.result, "queue_capacity");
-    sessions += SumField(reply.result, "sessions");
-    const Json cache = reply.result.GetOr("plan_cache", Json::Object());
-    cache_size += SumField(cache, "size");
-    cache_capacity += SumField(cache, "capacity");
-    cache_hits += SumField(cache, "hits");
-    cache_misses += SumField(cache, "misses");
+    AddFields(&result, reply.result, kServerFields);
+    AddFields(&cache, reply.result.GetOr("plan_cache", Json::Object()),
+              kCacheFields);
     MergeMetricsJson(&merged, reply.result.GetOr("metrics", Json::Object()));
   }
-  Json result = Json::Object();
-  result.Set("queue_depth", queue_depth);
-  result.Set("queue_capacity", queue_capacity);
-  result.Set("sessions", sessions);
-  Json cache = Json::Object();
-  cache.Set("size", cache_size);
-  cache.Set("capacity", cache_capacity);
-  cache.Set("hits", cache_hits);
-  cache.Set("misses", cache_misses);
   result.Set("plan_cache", std::move(cache));
   result.Set("metrics", std::move(merged));
   result.Set("degraded", reachable < replies.size());

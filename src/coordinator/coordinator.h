@@ -1,19 +1,15 @@
 #ifndef PHOCUS_COORDINATOR_COORDINATOR_H_
 #define PHOCUS_COORDINATOR_COORDINATOR_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <list>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "coordinator/hash_ring.h"
 #include "coordinator/shard_pool.h"
+#include "service/frame_server.h"
 #include "service/protocol.h"
-#include "service/socket.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -74,7 +70,6 @@ struct CoordinatorOptions {
 class CoordinatorServer {
  public:
   explicit CoordinatorServer(CoordinatorOptions options);
-  ~CoordinatorServer();
 
   CoordinatorServer(const CoordinatorServer&) = delete;
   CoordinatorServer& operator=(const CoordinatorServer&) = delete;
@@ -84,12 +79,12 @@ class CoordinatorServer {
   void Start();
 
   /// The bound port (valid after Start).
-  int port() const { return port_; }
+  int port() const { return core_.port(); }
 
   /// Graceful drain, same contract as ServiceServer: stop accepting, finish
   /// in-flight requests, then Wait() returns.
-  void RequestShutdown();
-  void Wait();
+  void RequestShutdown() { core_.RequestShutdown(); }
+  void Wait() { core_.Wait(); }
 
   /// The routing ring and shard health pool, exposed for tests and the
   /// `shards` verb.
@@ -103,25 +98,19 @@ class CoordinatorServer {
                                  std::string* local);
 
  private:
-  struct Connection {
-    service::Socket socket;
-    std::thread thread;
-    std::atomic<bool> busy{false};
-    std::atomic<bool> done{false};
-  };
-
-  void AcceptLoop();
-  void ServeConnection(Connection* connection);
-  /// Parses and dispatches one request frame; always returns a response
-  /// with the client's id and request_id echoed.
-  Json Process(const Json& request);
-  Json Dispatch(std::uint64_t id, const std::string& endpoint,
-                const Json& params, const std::string& request_id);
+  /// The serving core's request hook: dispatches one request and maps
+  /// failures to typed error responses.
+  service::Reply Serve(const service::Request& request);
+  Json Dispatch(const service::Request& request);
 
   /// Single-shard proxying.
   Json RouteCreateSession(const Json& params, const std::string& request_id);
   Json RouteSessionVerb(const std::string& endpoint, const Json& params,
                         const std::string& request_id);
+  /// Forwards one request to a shard, timed as `route_ns`, and scopes the
+  /// `session` field of the result.
+  Json Proxy(std::size_t shard, const std::string& endpoint, Json params,
+             const std::string& request_id);
   /// Rewrites a shard-local `session` field to the scoped form in place.
   static void ScopeSessionField(Json* result, const std::string& shard);
 
@@ -144,21 +133,9 @@ class CoordinatorServer {
   HashRing ring_;
   std::unique_ptr<ShardPool> pool_;
   std::unique_ptr<ThreadPool> fanout_pool_;
-
-  int port_ = 0;
-  std::unique_ptr<service::ListenSocket> listener_;
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
-
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
-
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
-  std::once_flag shutdown_once_;
-  void FinishShutdown();
+  /// Declared last: its destructor drains connection threads that still
+  /// call into the members above.
+  service::FrameServer core_;
 };
 
 /// Merges one phocusd metrics snapshot (the `{counters, gauges, histograms}`

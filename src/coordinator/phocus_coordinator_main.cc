@@ -11,48 +11,18 @@
 /// Point any phocusd client (phocus_client, ServiceClient) at port 7400
 /// and it sees one logical service. SIGINT/SIGTERM drain gracefully.
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
-#include <thread>
+#include <utility>
+#include <vector>
 
 #include "coordinator/coordinator.h"
-#include "telemetry/flight_recorder.h"
+#include "service/daemon.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace {
-
-std::atomic<bool> g_stop_requested{false};
-
-void HandleSignal(int) { g_stop_requested.store(true); }
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::size_t eq = arg.find('=');
-    std::string key;
-    std::string value = "1";
-    if (eq == std::string::npos) {
-      key = arg.substr(2);
-    } else {
-      key = arg.substr(2, eq - 2);
-      value = arg.substr(eq + 1);
-    }
-    flags[key] = value;
-  }
-  return flags;
-}
 
 /// Reads a shard map file: a JSON array of "host:port" strings, or an
 /// object with a "shards" array of the same.
@@ -69,7 +39,7 @@ std::string ShardListFromFile(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace phocus;
-  const std::map<std::string, std::string> flags = ParseFlags(argc, argv);
+  const service::DaemonFlags flags = service::ParseDaemonFlags(argc, argv);
   if (flags.count("help") > 0) {
     std::printf(
         "phocus_coordinator: consistent-hash router over phocusd shards\n"
@@ -138,34 +108,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string flight_dump = "coordinator_flight.json";
-  if (const char* env = std::getenv("PHOCUS_FLIGHT_DUMP")) flight_dump = env;
-  if (flags.count("flight-dump")) flight_dump = flags.at("flight-dump");
-  telemetry::FlightRecorder::InstallCrashHandler(flight_dump);
-
-  try {
-    coordinator::CoordinatorServer server(std::move(options));
-    server.Start();
-    std::printf("phocus_coordinator listening on %s:%d\n",
-                flags.count("host") ? flags.at("host").c_str() : "127.0.0.1",
-                server.port());
-    std::fflush(stdout);
-
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    std::thread signal_watcher([&server] {
-      while (!g_stop_requested.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-      server.RequestShutdown();
-    });
-
-    server.Wait();
-    g_stop_requested.store(true);
-    signal_watcher.join();
-  } catch (const CheckFailure& failure) {
-    std::fprintf(stderr, "phocus_coordinator: %s\n", failure.what());
-    return 1;
-  }
-  return 0;
+  return service::RunDaemon<coordinator::CoordinatorServer>(
+      "phocus_coordinator", flags, "coordinator_flight.json",
+      std::move(options));
 }

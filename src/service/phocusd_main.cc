@@ -7,53 +7,16 @@
 /// SIGINT/SIGTERM trigger the same graceful drain as the `shutdown`
 /// endpoint: in-flight requests finish, then the process exits.
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
-#include <thread>
+#include <utility>
 
+#include "service/daemon.h"
 #include "service/server.h"
-#include "telemetry/flight_recorder.h"
-#include "util/logging.h"
-#include "util/strings.h"
-
-namespace {
-
-std::atomic<bool> g_stop_requested{false};
-
-void HandleSignal(int) { g_stop_requested.store(true); }
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const std::size_t eq = arg.find('=');
-    std::string key;
-    std::string value = "1";
-    if (eq == std::string::npos) {
-      key = arg.substr(2);
-    } else {
-      key = arg.substr(2, eq - 2);
-      value = arg.substr(eq + 1);
-    }
-    flags[key] = value;
-  }
-  return flags;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace phocus;
-  const std::map<std::string, std::string> flags = ParseFlags(argc, argv);
+  const service::DaemonFlags flags = service::ParseDaemonFlags(argc, argv);
   if (flags.count("help") > 0) {
     std::printf(
         "phocusd: PHOcus archive-planning daemon\n"
@@ -104,37 +67,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Always-on flight recorder: if the daemon dies (std::terminate or a
-  // fatal signal), the last events land here as JSON.
-  std::string flight_dump = "phocusd_flight.json";
-  if (const char* env = std::getenv("PHOCUS_FLIGHT_DUMP")) flight_dump = env;
-  if (flags.count("flight-dump")) flight_dump = flags.at("flight-dump");
-  telemetry::FlightRecorder::InstallCrashHandler(flight_dump);
-
-  try {
-    service::ServiceServer server(options);
-    server.Start();
-    std::printf("phocusd listening on %s:%d\n", options.host.c_str(),
-                server.port());
-    std::fflush(stdout);
-
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    // The handler only flips a flag; this watcher turns it into a graceful
-    // drain without doing non-signal-safe work inside the handler.
-    std::thread signal_watcher([&server] {
-      while (!g_stop_requested.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-      server.RequestShutdown();
-    });
-
-    server.Wait();
-    g_stop_requested.store(true);
-    signal_watcher.join();
-  } catch (const CheckFailure& failure) {
-    std::fprintf(stderr, "phocusd: %s\n", failure.what());
-    return 1;
-  }
-  return 0;
+  return service::RunDaemon<service::ServiceServer>(
+      "phocusd", flags, "phocusd_flight.json", std::move(options));
 }

@@ -1,8 +1,10 @@
 #include "service/server.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <thread>
 
 #include "datagen/corpus_io.h"
 #include "datagen/ecommerce.h"
@@ -87,10 +89,36 @@ Json StatsToJson(const IncrementalUpdateStats& stats) {
   return out;
 }
 
+/// The `update` / `set_budget` result: the incremental stats and new plan.
+Json UpdateToJson(const std::string& session_id,
+                  const Session::UpdateOutcome& outcome) {
+  Json result = Json::Object();
+  result.Set("session", session_id);
+  result.Set("stats", StatsToJson(outcome.stats));
+  result.Set("plan", PlanToJson(*outcome.plan));
+  return result;
+}
+
 /// Flight-recorder slots store raw const char*, so dynamic endpoint names
 /// go through the process-lifetime intern table.
 const char* EndpointLiteral(const std::string& endpoint) {
   return telemetry::InternedName(endpoint);
+}
+
+FrameServerOptions CoreOptions(const ServerOptions& options) {
+  auto& registry = telemetry::MetricsRegistry::Current();
+  FrameServerOptions core;
+  core.host = options.host;
+  core.port = options.port;
+  core.max_frame_bytes = options.max_frame_bytes;
+  core.name = "phocusd";
+  core.drain_event = "server.drain";
+  core.crash_event = "server.crash";
+  core.connections = &registry.GetCounter("service.connections");
+  core.bytes_in = &registry.GetCounter("service.bytes_in");
+  core.bytes_out = &registry.GetCounter("service.bytes_out");
+  core.respond_ns = &registry.GetHistogram("service.respond_ns");
+  return core;
 }
 
 }  // namespace
@@ -115,7 +143,9 @@ std::size_t SlowRequestLog::size() const {
 
 ServiceServer::ServiceServer(ServerOptions options)
     : options_(std::move(options)),
-      plan_cache_(options_.plan_cache_capacity) {
+      plan_cache_(options_.plan_cache_capacity),
+      core_(CoreOptions(options_),
+            [this](const Request& request) { return Serve(request); }) {
   slow_request_ms_ = options_.slow_request_ms;
   if (slow_request_ms_ == 0.0) {
     if (const char* env = std::getenv("PHOCUS_SLOW_REQUEST_MS")) {
@@ -125,213 +155,46 @@ ServiceServer::ServiceServer(ServerOptions options)
   if (slow_request_ms_ < 0.0) slow_request_ms_ = 0.0;
 }
 
-ServiceServer::~ServiceServer() {
-  RequestShutdown();
-  if (started_.load()) {
-    std::call_once(shutdown_once_, [this] { FinishShutdown(); });
-  }
-}
-
 void ServiceServer::Start() {
-  PHOCUS_CHECK(!started_.load(), "Start called twice");
+  PHOCUS_CHECK(pool_ == nullptr, "Start called twice");
   if (!options_.wal_dir.empty()) {
     std::filesystem::create_directories(options_.wal_dir);
     sessions_.set_wal_dir(options_.wal_dir);
     PHOCUS_LOG(kInfo) << "ingest WAL enabled under " << options_.wal_dir;
   }
-  listener_ = std::make_unique<ListenSocket>(options_.host, options_.port);
-  port_ = listener_->port();
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  started_.store(true);
-  accept_thread_ = std::thread(&ServiceServer::AcceptLoop, this);
+  core_.Start();
   PHOCUS_LOG(kInfo) << "phocusd listening on " << options_.host << ":"
-                    << port_ << " (workers=" << pool_->num_threads()
+                    << port() << " (workers=" << pool_->num_threads()
                     << ", queue=" << options_.queue_capacity << ")";
 }
 
-void ServiceServer::RequestShutdown() {
-  {
-    std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  if (!draining_.exchange(true)) {
-    telemetry::FlightRecorder::Record("server.drain", "requested");
-  }
-  shutdown_cv_.notify_all();
-}
-
-void ServiceServer::Wait() {
-  {
-    std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
-  }
-  if (started_.load()) {
-    std::call_once(shutdown_once_, [this] { FinishShutdown(); });
-  }
-}
-
-void ServiceServer::FinishShutdown() {
-  // Delay-only: widens the drain window so tests can race requests
-  // against shutdown without an exception skipping the join logic below.
-  PHOCUS_FAILPOINT_DELAY_ONLY("server.drain");
-  if (listener_ != nullptr) listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Drain: connections running a request keep their sockets until the
-  // response is written; idle ones are unblocked immediately.
-  while (true) {
-    bool all_done = true;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      for (const auto& connection : connections_) {
-        if (connection->done.load()) continue;
-        all_done = false;
-        if (!connection->busy.load()) connection->socket.ShutdownBoth();
-      }
-    }
-    if (all_done) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::lock_guard<std::mutex> lock(connections_mutex_);
-  for (auto& connection : connections_) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  connections_.clear();
-  telemetry::FlightRecorder::Record("server.drain", "drained");
-  PHOCUS_LOG(kInfo) << "phocusd drained and stopped";
-}
-
-void ServiceServer::AcceptLoop() {
-  auto& connection_counter =
-      telemetry::MetricsRegistry::Current().GetCounter("service.connections");
-  while (true) {
-    Socket socket = listener_->Accept();
-    if (!socket.valid()) break;  // listener shut down
-    if (draining_.load()) continue;  // drop: the socket closes on scope exit
-    connection_counter.Increment();
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Reap connections whose threads already finished.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->done.load()) {
-        if ((*it)->thread.joinable()) (*it)->thread.join();
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    connections_.push_back(std::make_unique<Connection>());
-    Connection* connection = connections_.back().get();
-    connection->socket = std::move(socket);
-    connection->thread =
-        std::thread(&ServiceServer::ServeConnection, this, connection);
-  }
-}
-
-void ServiceServer::ServeConnection(Connection* connection) {
-  auto& registry = telemetry::MetricsRegistry::Current();
-  auto& bytes_in = registry.GetCounter("service.bytes_in");
-  auto& bytes_out = registry.GetCounter("service.bytes_out");
-  auto& respond_hist = registry.GetHistogram("service.respond_ns");
-  FrameDecoder decoder(options_.max_frame_bytes);
-  std::string chunk;
-  try {
-    while (true) {
-      std::string frame;
-      const FrameDecoder::Status status = decoder.Next(&frame);
-      if (status == FrameDecoder::Status::kTooLarge) {
-        const std::string encoded = EncodeFrame(MakeErrorResponse(
-            0, ErrorCode::kFrameTooLarge,
-            StrFormat("frame exceeds %zu bytes", decoder.max_frame_bytes())));
-        connection->socket.SendAll(encoded);
-        bytes_out.Add(encoded.size());
-        break;
-      }
-      if (status == FrameDecoder::Status::kNeedMore) {
-        // Drain closes the connection only here, between requests: frames
-        // already buffered still get answers (a pipelined healthz observes
-        // the "draining" status deterministically), but we never block for
-        // new bytes once shutdown has begun.
-        if (draining_.load()) break;
-        chunk.clear();
-        if (!connection->socket.RecvSome(&chunk)) break;  // clean EOF
-        bytes_in.Add(chunk.size());
-        decoder.Append(chunk);
-        continue;
-      }
-      connection->busy.store(true);
-      RequestObservation observation;
-      Json response;
-      try {
-        response = Process(Json::Parse(frame), &observation);
-      } catch (const failpoint::InjectedCrash&) {
-        throw;  // simulated process death; the handler below plays it out
-      } catch (const CheckFailure& failure) {
-        // Unparseable request: no id to echo back.
-        response = MakeErrorResponse(0, ErrorCode::kBadRequest, failure.what());
-      }
-      const std::string encoded = EncodeFrame(response);
-      const Stopwatch respond_timer;
-      connection->socket.SendAll(encoded);
-      const std::uint64_t respond_ns = respond_timer.ElapsedNanos();
-      bytes_out.Add(encoded.size());
-      respond_hist.Record(static_cast<double>(respond_ns));
-      FinishObservation(&observation, respond_ns);
-      connection->busy.store(false);
-    }
-  } catch (const failpoint::InjectedCrash& crash) {
-    // A crash failpoint simulates this serving thread dying mid-request.
-    // Play the part: write the automatic flight dump exactly as the
-    // std::terminate hook would, then drop the connection with no response
-    // (the peer sees a dead server). This is the only place outside a
-    // scenario harness allowed to stop an InjectedCrash from propagating —
-    // letting it escape the connection thread would std::terminate the
-    // whole daemon for a fault that tests inject deliberately.
-    telemetry::FlightRecorder::Record("server.crash");
-    telemetry::FlightRecorder::WriteCrashDump();
-    PHOCUS_LOG(kError) << "injected crash on connection thread: "
-                       << crash.what();
-  } catch (const CheckFailure&) {
-    // Peer vanished mid-read or mid-write; nothing left to answer.
-  }
-  // Half-close so the peer sees EOF now; the Connection (and its fd) is
-  // reaped by the accept loop or at shutdown.
-  connection->socket.ShutdownBoth();
-  connection->busy.store(false);
-  connection->done.store(true);
-}
-
-Json ServiceServer::Process(const Json& request,
-                            RequestObservation* observation) {
-  std::uint64_t id = 0;
-  std::string endpoint;
-  std::string request_id;
-  Json params = Json::Object();
-  try {
-    id = static_cast<std::uint64_t>(request.GetOr("id", 0).AsInt());
-    endpoint = request.Get("endpoint").AsString();
-    request_id = request.GetOr("request_id", "").AsString();
-    params = request.GetOr("params", Json::Object());
-  } catch (const CheckFailure& failure) {
-    return MakeErrorResponse(id, ErrorCode::kBadRequest, failure.what());
-  }
-  observation->endpoint = endpoint;
-  observation->request_id = request_id;
-  telemetry::FlightRecorder::Record("request.start",
-                                    EndpointLiteral(endpoint), id);
-  Json response = ProcessParsed(id, endpoint, params, request_id, observation);
+Reply ServiceServer::Serve(const Request& request) {
+  RequestObservation observation;
+  observation.endpoint = request.endpoint;
+  observation.request_id = request.request_id;
+  const char* endpoint = EndpointLiteral(request.endpoint);
+  telemetry::FlightRecorder::Record("request.start", endpoint, request.id);
+  Reply reply;
+  reply.response = ProcessParsed(request, &observation);
   telemetry::FlightRecorder::Record(
-      "request.end", EndpointLiteral(endpoint), id,
-      response.GetOr("ok", false).AsBool() ? 1 : 0);
-  // Echo the client's request id on every response shape (ok, rejection,
-  // typed error) so client-side logs correlate with server-side spans.
-  if (!request_id.empty()) response.Set("request_id", request_id);
-  return response;
+      "request.end", endpoint, request.id,
+      reply.response.GetOr("ok", false).AsBool() ? 1 : 0);
+  if (observation.handled && slow_request_ms_ > 0.0) {
+    reply.after_write = [this, observation = std::move(observation)](
+                            std::uint64_t respond_ns) mutable {
+      FinishObservation(&observation, respond_ns);
+    };
+  }
+  return reply;
 }
 
-Json ServiceServer::ProcessParsed(std::uint64_t id,
-                                  const std::string& endpoint,
-                                  const Json& params,
-                                  const std::string& request_id,
+Json ServiceServer::ProcessParsed(const Request& request,
                                   RequestObservation* observation) {
+  const std::uint64_t id = request.id;
+  const std::string& endpoint = request.endpoint;
+  const Json& params = request.params;
+  const std::string& request_id = request.request_id;
   auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("service.requests").Increment();
 
@@ -388,7 +251,7 @@ Json ServiceServer::ProcessParsed(std::uint64_t id,
   }
 
   // Admission control: reject instead of queueing without bound.
-  if (draining_.load()) {
+  if (core_.draining()) {
     registry.GetCounter("service.rejected.shutting_down").Increment();
     telemetry::FlightRecorder::Record("request.reject", "shutting_down", id);
     return MakeErrorResponse(id, ErrorCode::kShuttingDown,
@@ -521,7 +384,6 @@ Json ServiceServer::ProcessParsed(std::uint64_t id,
 
 void ServiceServer::FinishObservation(RequestObservation* observation,
                                       std::uint64_t respond_ns) {
-  if (!observation->handled || slow_request_ms_ <= 0.0) return;
   const double respond_ms = static_cast<double>(respond_ns) / 1e6;
   const double total_ms =
       observation->queue_wait_ms + observation->handle_ms + respond_ms;
@@ -644,26 +506,16 @@ Json ServiceServer::HandleUpdate(const Json& params) {
       static_cast<std::size_t>(params.Get("count").AsInt());
   const std::uint64_t seed =
       static_cast<std::uint64_t>(params.GetOr("seed", 1).AsInt());
-  const Session::UpdateOutcome outcome =
-      session->AddGeneratedPhotos(count, seed, options);
-  Json result = Json::Object();
-  result.Set("session", session->id());
-  result.Set("stats", StatsToJson(outcome.stats));
-  result.Set("plan", PlanToJson(*outcome.plan));
-  return result;
+  return UpdateToJson(session->id(),
+                      session->AddGeneratedPhotos(count, seed, options));
 }
 
 Json ServiceServer::HandleSetBudget(const Json& params) {
   std::shared_ptr<Session> session = FindSession(params);
   const ArchiveOptions options =
       OptionsFromParams(params, /*require_budget=*/true);
-  const Session::UpdateOutcome outcome =
-      session->SetBudget(options.budget, options);
-  Json result = Json::Object();
-  result.Set("session", session->id());
-  result.Set("stats", StatsToJson(outcome.stats));
-  result.Set("plan", PlanToJson(*outcome.plan));
-  return result;
+  return UpdateToJson(session->id(),
+                      session->SetBudget(options.budget, options));
 }
 
 namespace {
@@ -752,17 +604,21 @@ Json ServiceServer::HandleArchiveToVault(const Json& params) {
   return session->ArchiveToVault(directory, render_size);
 }
 
-Json ServiceServer::HandleStats() {
-  Json result = Json::Object();
-  result.Set("queue_depth", admitted_.load());
-  result.Set("queue_capacity", options_.queue_capacity);
-  result.Set("sessions", sessions_.size());
+Json ServiceServer::PlanCacheJson() const {
   Json cache = Json::Object();
   cache.Set("size", plan_cache_.size());
   cache.Set("capacity", plan_cache_.capacity());
   cache.Set("hits", plan_cache_.hits());
   cache.Set("misses", plan_cache_.misses());
-  result.Set("plan_cache", std::move(cache));
+  return cache;
+}
+
+Json ServiceServer::HandleStats() {
+  Json result = Json::Object();
+  result.Set("queue_depth", admitted_.load());
+  result.Set("queue_capacity", options_.queue_capacity);
+  result.Set("sessions", sessions_.size());
+  result.Set("plan_cache", PlanCacheJson());
   result.Set("metrics",
              telemetry::MetricsToJson(
                  telemetry::MetricsRegistry::Current().Snapshot()));
@@ -774,14 +630,9 @@ Json ServiceServer::HandleMetrics() {
   server.Set("queue_depth", admitted_.load());
   server.Set("queue_capacity", options_.queue_capacity);
   server.Set("sessions", sessions_.size());
-  server.Set("draining", draining_.load());
+  server.Set("draining", core_.draining());
   server.Set("slow_request_ms", slow_request_ms_);
-  Json cache = Json::Object();
-  cache.Set("size", plan_cache_.size());
-  cache.Set("capacity", plan_cache_.capacity());
-  cache.Set("hits", plan_cache_.hits());
-  cache.Set("misses", plan_cache_.misses());
-  server.Set("plan_cache", std::move(cache));
+  server.Set("plan_cache", PlanCacheJson());
   Json result = Json::Object();
   result.Set("server", std::move(server));
   result.Set("metrics",
@@ -797,7 +648,7 @@ Json ServiceServer::HandleHealthz() {
   const double saturation =
       capacity == 0 ? 1.0
                     : static_cast<double>(depth) / static_cast<double>(capacity);
-  const bool draining = draining_.load();
+  const bool draining = core_.draining();
   Json result = Json::Object();
   result.Set("status", draining      ? "draining"
                        : saturation >= 1.0 ? "overloaded"

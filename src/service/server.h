@@ -2,29 +2,26 @@
 #define PHOCUS_SERVICE_SERVER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
+#include "service/frame_server.h"
 #include "service/plan_cache.h"
 #include "service/protocol.h"
 #include "service/session.h"
-#include "service/socket.h"
 #include "telemetry/trace.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
 /// \file server.h
-/// phocusd: the archive-planning daemon. One TCP listener, one thread per
-/// connection reading length-prefixed JSON requests, and a bounded request
-/// queue feeding a worker ThreadPool. Between the socket layer and
-/// PhocusSystem sit the serving pieces:
+/// phocusd: the archive-planning daemon. It runs the shared serving core
+/// (FrameServer: one TCP listener, one thread per connection reading
+/// length-prefixed JSON requests) in front of a bounded request queue
+/// feeding a worker ThreadPool. Between the core and PhocusSystem sit the
+/// serving pieces:
 ///
 ///  - SessionManager: per-client corpus + incremental state, fine-grained
 ///    locks (requests against different sessions run concurrently),
@@ -97,7 +94,6 @@ class SlowRequestLog {
 class ServiceServer {
  public:
   explicit ServiceServer(ServerOptions options = {});
-  ~ServiceServer();
 
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
@@ -107,15 +103,15 @@ class ServiceServer {
   void Start();
 
   /// The bound port (valid after Start).
-  int port() const { return port_; }
+  int port() const { return core_.port(); }
 
   /// Begins a graceful shutdown: new requests are rejected with
   /// `shutting_down`, in-flight ones drain. Non-blocking; pair with Wait().
-  void RequestShutdown();
+  void RequestShutdown() { core_.RequestShutdown(); }
 
   /// Blocks until a shutdown request has fully drained and all threads are
   /// joined.
-  void Wait();
+  void Wait() { core_.Wait(); }
 
   /// Observability hooks for tests and the stats endpoint.
   std::size_t queue_depth() const { return admitted_.load(); }
@@ -123,16 +119,9 @@ class ServiceServer {
   SessionManager& sessions() { return sessions_; }
 
  private:
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> busy{false};
-    std::atomic<bool> done{false};
-  };
-
   /// What one handled request looked like, for the slow-request check and
-  /// log. Filled by Process for admitted data-plane requests; `tree` is the
-  /// request's span tree (service.request root) when tracing was on.
+  /// log. Filled by ProcessParsed for admitted data-plane requests; `tree`
+  /// is the request's span tree (service.request root) when tracing was on.
   struct RequestObservation {
     bool handled = false;
     bool traced = false;
@@ -143,14 +132,10 @@ class ServiceServer {
     telemetry::SpanRecord tree;
   };
 
-  void AcceptLoop();
-  void ServeConnection(Connection* connection);
-  /// Admission + queueing + execution of one request; returns the response
-  /// (with the client's request_id echoed) and fills `observation`.
-  Json Process(const Json& request, RequestObservation* observation);
-  Json ProcessParsed(std::uint64_t id, const std::string& endpoint,
-                     const Json& params, const std::string& request_id,
-                     RequestObservation* observation);
+  /// The serving core's request hook: admission + queueing + execution of
+  /// one request, with the slow-request check attached after the write.
+  Reply Serve(const Request& request);
+  Json ProcessParsed(const Request& request, RequestObservation* observation);
   /// Slow-request check after the response hit the wire.
   void FinishObservation(RequestObservation* observation,
                          std::uint64_t respond_ns);
@@ -164,33 +149,23 @@ class ServiceServer {
   Json HandleIngestFlush(const Json& params);
   Json HandleArchiveToVault(const Json& params);
   Json HandleStats();
+  /// The plan cache's size/capacity/hits/misses, shared by stats and metrics.
+  Json PlanCacheJson() const;
   /// Control-plane observability verbs (bypass admission; docs/SERVICE.md).
   Json HandleMetrics();
   Json HandleHealthz();
   std::shared_ptr<Session> FindSession(const Json& params) const;
-  void FinishShutdown();
 
   ServerOptions options_;
   double slow_request_ms_ = 0.0;
   SlowRequestLog slow_log_;
-  int port_ = 0;
-  std::unique_ptr<ListenSocket> listener_;
   std::unique_ptr<ThreadPool> pool_;
   SessionManager sessions_;
   PlanCache plan_cache_;
-
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
-
   std::atomic<std::size_t> admitted_{0};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
-
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
-  std::once_flag shutdown_once_;
+  /// Declared last: its destructor drains connection threads that still
+  /// call into the members above.
+  FrameServer core_;
 };
 
 }  // namespace service

@@ -365,6 +365,20 @@ std::string ExpectedPlanDump(std::uint64_t seed) {
   return service::PlanToJson(system.PlanArchive(archive_options)).Dump();
 }
 
+/// A counter's value, or a histogram's sample count, from the process
+/// registry (0 when the name is not registered).
+double MetricValue(const std::string& name) {
+  const telemetry::MetricsSnapshot snapshot =
+      telemetry::MetricsRegistry::Current().Snapshot();
+  for (const auto& counter : snapshot.counters) {
+    if (counter.name == name) return static_cast<double>(counter.value);
+  }
+  for (const auto& histogram : snapshot.histograms) {
+    if (histogram.name == name) return static_cast<double>(histogram.count);
+  }
+  return 0.0;
+}
+
 class CoordinatorLoopbackTest : public ::testing::Test {
  protected:
   void StartCluster(std::size_t num_shards) {
@@ -372,6 +386,9 @@ class CoordinatorLoopbackTest : public ::testing::Test {
     for (std::size_t i = 0; i < num_shards; ++i) {
       ServerOptions options;
       options.num_workers = 2;
+      // Every handled request lands in the shard's slow-request log, so
+      // the merged `metrics` verb always has shard records to carry.
+      options.slow_request_ms = 1e-6;
       auto shard = std::make_unique<ServiceServer>(options);
       shard->Start();
       ShardAddress address;
@@ -429,10 +446,26 @@ TEST_F(CoordinatorLoopbackTest, RoutesSessionsAndScopesIds) {
 
   // Session verbs route back to the owning shard, and responses come back
   // with the scoped id.
+  const char* kSocketMetrics[] = {"coordinator.bytes_in",
+                                  "coordinator.bytes_out",
+                                  "coordinator.respond_ns"};
+  std::vector<double> before;
+  for (const char* name : kSocketMetrics) before.push_back(MetricValue(name));
   Json params = Json::Object();
   params.Set("session", session);
   const Json info = client.Call("session_info", std::move(params));
   EXPECT_EQ(info.Get("session").AsString(), session);
+
+  // The coordinator's serving core accounts the proxied request's socket
+  // traffic. The accounting follows the write, so a second round trip on
+  // the same connection orders it before the read below.
+  EXPECT_TRUE(client.Ping());
+  if (telemetry::kCompiled) {
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_GT(MetricValue(kSocketMetrics[i]), before[i])
+          << kSocketMetrics[i];
+    }
+  }
 }
 
 TEST_F(CoordinatorLoopbackTest, PlanThroughCoordinatorIsByteIdentical) {
@@ -505,9 +538,12 @@ TEST_F(CoordinatorLoopbackTest, RejectsUnscopedAndUnknownSessions) {
 TEST_F(CoordinatorLoopbackTest, FanOutMergesHealthStatsAndMetrics) {
   StartCluster(3);
   ServiceClient client = Connect();
-  // One session on some shard.
+  // One session on some shard, planned once.
   const std::string session = client.CreateSession(CorpusSpec(31));
-  (void)session;
+  Json plan_params = Json::Object();
+  plan_params.Set("session", session);
+  plan_params.Set("budget", kTestBudget);
+  client.Call("plan", std::move(plan_params));
 
   const Json health = client.Healthz();
   EXPECT_EQ(health.Get("status").AsString(), "ok");
@@ -521,9 +557,18 @@ TEST_F(CoordinatorLoopbackTest, FanOutMergesHealthStatsAndMetrics) {
   // Three shards' queue capacities sum.
   EXPECT_EQ(stats.Get("queue_capacity").AsInt(), 3 * 64);
 
-  const Json metrics = client.Metrics();
+  // The merge must answer ok even with shard slow logs to carry.
+  Json metrics;
+  ASSERT_NO_THROW(metrics = client.Metrics());
   EXPECT_FALSE(metrics.Get("degraded").AsBool());
   EXPECT_EQ(metrics.Get("server").Get("shards").AsInt(), 3);
+  // Shard slow logs merge into one list, each record tagged with its shard.
+  const Json& slow = metrics.Get("slow_requests");
+  ASSERT_GE(slow.items().size(), 1u);
+  for (const Json& record : slow.items()) {
+    EXPECT_NE(coordinator_->pool().IndexOf(record.Get("shard").AsString()),
+              ShardPool::npos);
+  }
   if (telemetry::kCompiled) {
     // Shard-side counters surface in the merged snapshot alongside the
     // coordinator's own family.

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "coordinator/coordinator.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -54,7 +55,21 @@ class ObservabilityTest : public ::testing::Test {
     return ServiceClient("127.0.0.1", server_->port());
   }
 
+  /// Starts a coordinator fronting the running phocusd; returns its port.
+  int StartCoordinator() {
+    coordinator::CoordinatorOptions options;
+    options.shards = coordinator::ParseShardList(
+        "127.0.0.1:" + std::to_string(server_->port()));
+    coordinator_ = std::make_unique<coordinator::CoordinatorServer>(options);
+    coordinator_->Start();
+    return coordinator_->port();
+  }
+
   void TearDown() override {
+    if (coordinator_ != nullptr) {
+      coordinator_->RequestShutdown();
+      coordinator_->Wait();
+    }
     if (server_ != nullptr) {
       server_->RequestShutdown();
       server_->Wait();
@@ -63,6 +78,7 @@ class ObservabilityTest : public ::testing::Test {
   }
 
   std::unique_ptr<ServiceServer> server_;
+  std::unique_ptr<coordinator::CoordinatorServer> coordinator_;
 };
 
 // --- Flight recorder ------------------------------------------------------
@@ -212,37 +228,46 @@ TEST_F(ObservabilityTest, MetricsVerbUnderConcurrentLoad) {
 
 TEST_F(ObservabilityTest, HealthzReportsDrainState) {
   StartServer(ServerOptions{});
-  ServiceClient client = Connect();
+  // Both daemons run the same serving core. The coordinator goes first:
+  // draining it leaves its phocusd shard serving.
+  const int coordinator_port = StartCoordinator();
+  for (const int port : {coordinator_port, server_->port()}) {
+    const bool is_phocusd = port == server_->port();
+    SCOPED_TRACE(is_phocusd ? "phocusd" : "phocus_coordinator");
+    ServiceClient client("127.0.0.1", port);
 
-  Json health = client.Healthz();
-  EXPECT_EQ(health.Get("status").AsString(), "ok");
-  EXPECT_FALSE(health.Get("draining").AsBool());
-  EXPECT_LT(health.Get("admission_saturation").AsDouble(), 1.0);
-  EXPECT_EQ(health.Get("telemetry").Get("compiled").AsBool(),
-            telemetry::kCompiled);
-
-  // healthz is control-plane: one already-received as the server begins
-  // draining must still be answered, and must report the drain. Pipeline
-  // shutdown + healthz in a single write so both frames are buffered before
-  // the server acts on the shutdown.
-  Socket socket = ConnectTcp("127.0.0.1", server_->port());
-  socket.SendAll(EncodeFrame(MakeRequest(1, "shutdown", Json::Object())) +
-                 EncodeFrame(MakeRequest(2, "healthz", Json::Object())));
-  FrameDecoder decoder(kDefaultMaxFrameBytes);
-  std::vector<Json> responses;
-  while (responses.size() < 2) {
-    std::string frame;
-    while (decoder.Next(&frame) != FrameDecoder::Status::kFrame) {
-      std::string chunk;
-      ASSERT_TRUE(socket.RecvSome(&chunk));
-      decoder.Append(chunk);
+    Json health = client.Healthz();
+    EXPECT_EQ(health.Get("status").AsString(), "ok");
+    EXPECT_FALSE(health.Get("draining").AsBool());
+    if (is_phocusd) {
+      EXPECT_LT(health.Get("admission_saturation").AsDouble(), 1.0);
     }
-    responses.push_back(Json::Parse(frame));
+    EXPECT_EQ(health.Get("telemetry").Get("compiled").AsBool(),
+              telemetry::kCompiled);
+
+    // healthz is control-plane: one already-received as the server begins
+    // draining must still be answered, and must report the drain. Pipeline
+    // shutdown + healthz in a single write so both frames are buffered
+    // before the server acts on the shutdown.
+    Socket socket = ConnectTcp("127.0.0.1", port);
+    socket.SendAll(EncodeFrame(MakeRequest(1, "shutdown", Json::Object())) +
+                   EncodeFrame(MakeRequest(2, "healthz", Json::Object())));
+    FrameDecoder decoder(kDefaultMaxFrameBytes);
+    std::vector<Json> responses;
+    while (responses.size() < 2) {
+      std::string frame;
+      while (decoder.Next(&frame) != FrameDecoder::Status::kFrame) {
+        std::string chunk;
+        ASSERT_TRUE(socket.RecvSome(&chunk));
+        decoder.Append(chunk);
+      }
+      responses.push_back(Json::Parse(frame));
+    }
+    EXPECT_TRUE(responses[0].Get("ok").AsBool());  // the shutdown itself
+    const Json& drained = responses[1].Get("result");
+    EXPECT_EQ(drained.Get("status").AsString(), "draining");
+    EXPECT_TRUE(drained.Get("draining").AsBool());
   }
-  EXPECT_TRUE(responses[0].Get("ok").AsBool());  // the shutdown itself
-  const Json& drained = responses[1].Get("result");
-  EXPECT_EQ(drained.Get("status").AsString(), "draining");
-  EXPECT_TRUE(drained.Get("draining").AsBool());
 }
 
 TEST_F(ObservabilityTest, DumpFlightReturnsRequestLifecycleEvents) {

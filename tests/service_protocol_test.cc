@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "coordinator/coordinator.h"
 #include "datagen/openimages.h"
 #include "phocus/system.h"
 #include "service/client.h"
@@ -289,11 +290,34 @@ class WireTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    if (coordinator_ != nullptr) {
+      coordinator_->RequestShutdown();
+      coordinator_->Wait();
+    }
     server_->RequestShutdown();
     server_->Wait();
   }
 
   Socket Connect() { return ConnectTcp("127.0.0.1", server_->port()); }
+
+  struct Daemon {
+    const char* name;
+    int port;
+  };
+
+  /// The fixture's phocusd plus a coordinator fronting it with the same
+  /// frame cap. Both run the same serving core; tests pinning the core's
+  /// behaviour run against each.
+  std::vector<Daemon> BothDaemons() {
+    coordinator::CoordinatorOptions options;
+    options.max_frame_bytes = 4096;
+    options.shards = coordinator::ParseShardList(
+        "127.0.0.1:" + std::to_string(server_->port()));
+    coordinator_ = std::make_unique<coordinator::CoordinatorServer>(options);
+    coordinator_->Start();
+    return {{"phocusd", server_->port()},
+            {"phocus_coordinator", coordinator_->port()}};
+  }
 
   /// Sends raw bytes and reads exactly one response frame.
   Json Exchange(Socket& socket, const std::string& bytes) {
@@ -310,6 +334,7 @@ class WireTest : public ::testing::Test {
   }
 
   std::unique_ptr<ServiceServer> server_;
+  std::unique_ptr<coordinator::CoordinatorServer> coordinator_;
 };
 
 TEST_F(WireTest, UnknownEndpointGetsTypedError) {
@@ -338,15 +363,20 @@ TEST_F(WireTest, MissingEndpointFieldGetsBadRequest) {
 }
 
 TEST_F(WireTest, OversizedFrameGetsFrameTooLargeThenClose) {
-  Socket socket = Connect();
-  // Declare a payload beyond the server's 4096-byte cap.
-  const Json response =
-      Exchange(socket, std::string("\x00\x10\x00\x00", 4));
-  EXPECT_FALSE(response.Get("ok").AsBool());
-  EXPECT_EQ(response.Get("error").Get("code").AsString(), "frame_too_large");
-  // The server closes the connection after the error: the next read is EOF.
-  std::string chunk;
-  EXPECT_FALSE(socket.RecvSome(&chunk));
+  for (const Daemon& daemon : BothDaemons()) {
+    SCOPED_TRACE(daemon.name);
+    Socket socket = ConnectTcp("127.0.0.1", daemon.port);
+    // Declare a payload beyond the server's 4096-byte cap.
+    const Json response =
+        Exchange(socket, std::string("\x00\x10\x00\x00", 4));
+    EXPECT_FALSE(response.Get("ok").AsBool());
+    EXPECT_EQ(response.Get("error").Get("code").AsString(),
+              "frame_too_large");
+    // The server closes the connection after the error: the next read is
+    // EOF.
+    std::string chunk;
+    EXPECT_FALSE(socket.RecvSome(&chunk));
+  }
 }
 
 TEST_F(WireTest, TruncatedFrameThenDisconnectLeavesServerHealthy) {

@@ -465,6 +465,15 @@ TEST_F(StreamingServiceTest, ReplansRacingIngestKeepInvariants) {
   constexpr int kThreads = 3;
   constexpr int kBatchesPerThread = 3;
   constexpr int kPhotosPerBatch = 5;
+  // The first ingest creates the session's streamer, and `ingest_flush`
+  // before that is an error. Ingest once up front so the flusher thread
+  // cannot win the race against every ingester.
+  {
+    Json params = IngestParams(session, kPhotosPerBatch, 900);
+    params.Set("batch_photos", 4);
+    params.Set("epsilon", 0.25);
+    setup.Call("ingest", std::move(params));
+  }
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
@@ -493,7 +502,7 @@ TEST_F(StreamingServiceTest, ReplansRacingIngestKeepInvariants) {
   const Json final_state = setup.Call("ingest_flush", std::move(flush));
   EXPECT_EQ(final_state.Get("pending_photos").AsInt(), 0);
   EXPECT_EQ(final_state.Get("num_photos").AsInt(),
-            60 + kThreads * kBatchesPerThread * kPhotosPerBatch);
+            60 + (1 + kThreads * kBatchesPerThread) * kPhotosPerBatch);
   if (final_state.Has("plan")) {
     const Json& plan = final_state.Get("plan");
     EXPECT_EQ(plan.Get("retained").size() + plan.Get("archived").size(),
