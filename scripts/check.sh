@@ -24,18 +24,24 @@
 #             -DPHOCUS_SANITIZE=thread (the WAL crash matrix runs in the
 #             TSan tree too), plus the service and coordinator loopback
 #             suites that drive the shared serving core
+#   asan      the scenario + streaming tiers rebuilt with
+#             -DPHOCUS_SANITIZE=address: the WAL record/checkpoint encode
+#             and replay code, the journaled update/set_budget commits and
+#             the session's post-call sync under a memory-error checker
 #
-# Usage: scripts/check.sh [unit|scenario|fuzz|perf|obs|streaming|cluster|tsan|all]
+# Usage:
+# scripts/check.sh [unit|scenario|fuzz|perf|obs|streaming|cluster|tsan|asan|all]
 # (default: all)
 #
 # Environment: BUILD_DIR (default build), TSAN_DIR (default build-tsan),
-# JOBS (default nproc).
+# ASAN_DIR (default build-asan), JOBS (default nproc).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 TSAN_DIR=${TSAN_DIR:-build-tsan}
+ASAN_DIR=${ASAN_DIR:-build-asan}
 JOBS=${JOBS:-$(nproc)}
 TIER=${1:-all}
 
@@ -87,6 +93,15 @@ tier_tsan() {
     --output-on-failure -j "$JOBS")
 }
 
+# GCC 12 reports false -Wrestrict errors on plain std::string assignments
+# once -fsanitize=address is on, so this tree keeps warnings non-fatal; the
+# default tree still builds with -Werror.
+tier_asan() {
+  build_tree "$ASAN_DIR" -DPHOCUS_SANITIZE=address -DPHOCUS_WERROR=OFF
+  run_label "$ASAN_DIR" scenario
+  run_label "$ASAN_DIR" streaming
+}
+
 case "$TIER" in
   unit)     tier_unit ;;
   scenario) tier_scenario ;;
@@ -96,6 +111,7 @@ case "$TIER" in
   streaming) tier_streaming ;;
   cluster)  tier_cluster ;;
   tsan)     tier_tsan ;;
+  asan)     tier_asan ;;
   all)
     python3 scripts/lint_metrics.py --root .
     python3 scripts/lint_bench_json.py --root .
@@ -107,10 +123,11 @@ case "$TIER" in
     run_label "$BUILD_DIR" perf
     run_label "$BUILD_DIR" cluster
     tier_tsan
+    tier_asan
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[unit|scenario|fuzz|perf|obs|streaming|cluster|tsan|all]" >&2
+         "[unit|scenario|fuzz|perf|obs|streaming|cluster|tsan|asan|all]" >&2
     exit 2
     ;;
 esac

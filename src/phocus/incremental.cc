@@ -1,6 +1,7 @@
 #include "phocus/incremental.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/celf.h"
 #include "core/local_search.h"
@@ -19,9 +20,8 @@ namespace {
 /// Rebuilds the plan record (retained/archived lists, coverage, bounds)
 /// from a selection — the same bookkeeping PhocusSystem::PlanArchiveWith
 /// performs after its solver run.
-ArchivePlan MakePlan(const ParInstance& instance, const Corpus& corpus,
-                     SolverResult result, const ArchiveOptions& options) {
-  (void)corpus;
+ArchivePlan MakePlan(const ParInstance& instance, SolverResult result,
+                     const ArchiveOptions& options) {
   CheckFeasible(instance, result);
   ArchivePlan plan;
   plan.solver_result = std::move(result);
@@ -84,83 +84,63 @@ const ArchivePlan& IncrementalArchiver::InitializeFromRetained(
   // MakePlan re-checks feasibility, so a checkpoint whose retained set does
   // not fit this budget (it always came from a committed plan, so it should)
   // fails loudly instead of installing an infeasible plan.
-  plan_ = MakePlan(instance, corpus_, std::move(result), options_.archive);
+  plan_ = MakePlan(instance, std::move(result), options_.archive);
   deferred_photos_ = deferred_photos;
   initialized_ = true;
   return plan_;
 }
 
-void IncrementalArchiver::ValidateAppend(
-    const std::vector<CorpusPhoto>& photos,
-    const std::vector<SubsetSpec>& new_subsets,
-    const std::vector<PhotoId>& new_required) const {
-  const std::size_t new_total = corpus_.photos.size() + photos.size();
-  for (const SubsetSpec& spec : new_subsets) {
-    for (PhotoId p : spec.members) {
-      PHOCUS_CHECK(p < new_total, "subset member beyond the appended corpus");
-    }
-  }
-  for (PhotoId p : new_required) {
-    PHOCUS_CHECK(p < new_total, "required id beyond the appended corpus");
-  }
-}
-
 const ArchivePlan& IncrementalArchiver::AddPhotos(
     std::vector<CorpusPhoto> photos, std::vector<SubsetSpec> new_subsets,
     std::vector<PhotoId> new_required, IncrementalUpdateStats* stats) {
-  PHOCUS_CHECK(initialized_, "AddPhotos before Initialize");
-  ValidateAppend(photos, new_subsets, new_required);
+  return ReplanAfter(
+      [&](IncrementalUpdateStats* local_stats) {
+        AddPhotosDeferred(std::move(photos), std::move(new_subsets),
+                          std::move(new_required), local_stats);
+      },
+      stats);
+}
+
+const ArchivePlan& IncrementalArchiver::SetBudget(
+    Cost budget, IncrementalUpdateStats* stats) {
+  return ReplanAfter(
+      [&](IncrementalUpdateStats*) { SetBudgetDeferred(budget); }, stats);
+}
+
+const ArchivePlan& IncrementalArchiver::ReplanAfter(
+    const std::function<void(IncrementalUpdateStats*)>& defer,
+    IncrementalUpdateStats* stats) {
+  // Photos/subsets and the plan's archived side only grow (truncate back to
+  // the old size), but `required` is sorted + deduplicated in place, so it
+  // needs a full copy.
+  const std::size_t photos = corpus_.photos.size();
+  const std::size_t subsets = corpus_.subsets.size();
+  std::vector<PhotoId> required = corpus_.required;
+  const std::size_t archived = plan_.archived.size();
+  const Cost archived_bytes = plan_.archived_bytes;
+  const std::size_t deferred = deferred_photos_;
+  const Cost budget = options_.archive.budget;
   IncrementalUpdateStats local_stats;
-  local_stats.photos_added = photos.size();
-  local_stats.subsets_added = new_subsets.size();
-
-  // Snapshot enough state to undo the appends: photos/subsets only grow
-  // (truncate to the old size), but `required` is sorted + deduplicated in
-  // place, so it needs a full copy.
-  const std::size_t previous_photos = corpus_.photos.size();
-  const std::size_t previous_subsets = corpus_.subsets.size();
-  std::vector<PhotoId> previous_required = corpus_.required;
-
-  for (CorpusPhoto& photo : photos) corpus_.photos.push_back(std::move(photo));
-  for (SubsetSpec& spec : new_subsets) corpus_.subsets.push_back(std::move(spec));
-  for (PhotoId p : new_required) corpus_.required.push_back(p);
-  std::sort(corpus_.required.begin(), corpus_.required.end());
-  corpus_.required.erase(
-      std::unique(corpus_.required.begin(), corpus_.required.end()),
-      corpus_.required.end());
-
+  defer(&local_stats);
   try {
     Replan(&local_stats);
   } catch (...) {
     // Keep the archiver consistent: a failed replan (infeasible budget,
     // injected fault) must not leave appended photos in a corpus whose
-    // active plan has never seen them. The LSH cache goes too — its
-    // entries for the rolled-back subsets would otherwise be trusted if a
-    // later append happens to reuse the same member id lists over
-    // different photos.
-    corpus_.photos.resize(previous_photos);
-    corpus_.subsets.resize(previous_subsets);
-    corpus_.required = std::move(previous_required);
-    lsh_cache_.Clear();
-    throw;
-  }
-  if (stats != nullptr) *stats = local_stats;
-  return plan_;
-}
-
-const ArchivePlan& IncrementalArchiver::SetBudget(
-    Cost budget, IncrementalUpdateStats* stats) {
-  PHOCUS_CHECK(initialized_, "SetBudget before Initialize");
-  PHOCUS_CHECK(budget > 0, "budget must be positive");
-  const Cost previous_budget = options_.archive.budget;
-  options_.archive.budget = budget;
-  IncrementalUpdateStats local_stats;
-  try {
-    Replan(&local_stats);
-  } catch (...) {
-    // Keep the archiver consistent: an infeasible budget leaves the
-    // previous budget and plan in force.
-    options_.archive.budget = previous_budget;
+    // active plan has never seen them, nor a budget no plan satisfies. The
+    // LSH cache goes with any append — its entries for the rolled-back
+    // subsets would otherwise be trusted if a later append happens to reuse
+    // the same member id lists over different photos.
+    if (corpus_.photos.size() != photos || corpus_.subsets.size() != subsets) {
+      lsh_cache_.Clear();
+    }
+    corpus_.photos.resize(photos);
+    corpus_.subsets.resize(subsets);
+    corpus_.required = std::move(required);
+    plan_.archived.resize(archived);
+    plan_.archived_bytes = archived_bytes;
+    deferred_photos_ = deferred;
+    options_.archive.budget = budget;
     throw;
   }
   if (stats != nullptr) *stats = local_stats;
@@ -171,7 +151,15 @@ void IncrementalArchiver::AddPhotosDeferred(
     std::vector<CorpusPhoto> photos, std::vector<SubsetSpec> new_subsets,
     std::vector<PhotoId> new_required, IncrementalUpdateStats* stats) {
   PHOCUS_CHECK(initialized_, "AddPhotosDeferred before Initialize");
-  ValidateAppend(photos, new_subsets, new_required);
+  const std::size_t new_total = corpus_.photos.size() + photos.size();
+  for (const SubsetSpec& spec : new_subsets) {
+    for (PhotoId p : spec.members) {
+      PHOCUS_CHECK(p < new_total, "subset member beyond the appended corpus");
+    }
+  }
+  for (PhotoId p : new_required) {
+    PHOCUS_CHECK(p < new_total, "required id beyond the appended corpus");
+  }
   IncrementalUpdateStats local_stats;
   local_stats.photos_added = photos.size();
   local_stats.subsets_added = new_subsets.size();
@@ -305,7 +293,7 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
   }
   result.solver_name = "PHOcus-incremental";
   if (stats != nullptr) stats->gain_evaluations = result.gain_evaluations;
-  plan_ = MakePlan(instance, corpus_, std::move(result), options_.archive);
+  plan_ = MakePlan(instance, std::move(result), options_.archive);
   deferred_photos_ = 0;  // every deferred arrival is now in the plan
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.replans")

@@ -1,6 +1,7 @@
 #ifndef PHOCUS_PHOCUS_INCREMENTAL_H_
 #define PHOCUS_PHOCUS_INCREMENTAL_H_
 
+#include <functional>
 #include <vector>
 
 #include "core/online_bound.h"
@@ -90,21 +91,26 @@ class IncrementalArchiver {
   /// Appends photos and subset specs (member ids in the post-append id
   /// space; they may reference both old and new photos) and incrementally
   /// updates the plan. `new_required` lists post-append ids that join S0.
+  /// AddPhotosDeferred + ReplanNow, except that a failed replan also undoes
+  /// the append: the archiver is left exactly as before the call.
   const ArchivePlan& AddPhotos(std::vector<CorpusPhoto> photos,
                                std::vector<SubsetSpec> new_subsets,
                                std::vector<PhotoId> new_required = {},
                                IncrementalUpdateStats* stats = nullptr);
 
   /// Changes the budget and re-plans incrementally (eviction/top-up only).
+  /// SetBudgetDeferred + ReplanNow; a failed replan (e.g.
+  /// InfeasibleBudgetError) restores the previous budget and plan.
   const ArchivePlan& SetBudget(Cost budget,
                                IncrementalUpdateStats* stats = nullptr);
 
-  /// Streaming-mode append: validates and appends exactly like AddPhotos but
-  /// does NOT replan. Arrivals are cold-by-default — the active plan's
-  /// `archived` list (and archived_bytes) is extended with the new ids so it
-  /// stays a complete, feasible description of the grown corpus; a later
-  /// ReplanNow decides whether any of them earn retention. Appends never
-  /// renumber, so `plan().retained` stays valid throughout.
+  /// Streaming-mode append: validates member/required ids against the
+  /// grown corpus and appends, but does NOT replan. Arrivals are
+  /// cold-by-default — the active plan's `archived` list (and
+  /// archived_bytes) is extended with the new ids so it stays a complete,
+  /// feasible description of the grown corpus; a later ReplanNow decides
+  /// whether any of them earn retention. Appends never renumber, so
+  /// `plan().retained` stays valid throughout.
   void AddPhotosDeferred(std::vector<CorpusPhoto> photos,
                          std::vector<SubsetSpec> new_subsets,
                          std::vector<PhotoId> new_required = {},
@@ -134,10 +140,13 @@ class IncrementalArchiver {
   Cost budget() const { return options_.archive.budget; }
 
  private:
+  /// The one rollback path of AddPhotos and SetBudget: runs `defer` (the
+  /// deferred append or budget change), then replans; if the replan fails,
+  /// restores the state from before `defer` and rethrows.
+  const ArchivePlan& ReplanAfter(
+      const std::function<void(IncrementalUpdateStats*)>& defer,
+      IncrementalUpdateStats* stats);
   void Replan(IncrementalUpdateStats* stats);
-  void ValidateAppend(const std::vector<CorpusPhoto>& photos,
-                      const std::vector<SubsetSpec>& new_subsets,
-                      const std::vector<PhotoId>& new_required) const;
 
   IncrementalOptions options_;
   Corpus corpus_;

@@ -79,24 +79,12 @@ IngestBatch ReadBatch(BinaryReader& reader) {
   return batch;
 }
 
-std::string EncodeRecordPayload(const WalRecord& record) {
+/// A record payload starts with its type byte; the Append* calls write the
+/// body straight after it.
+BinaryWriter RecordWriter(WalRecord::Type type) {
   BinaryWriter writer;
-  writer.WriteU8(static_cast<std::uint8_t>(record.type));
-  switch (record.type) {
-    case WalRecord::Type::kBatch:
-      WriteBatch(writer, record.batch);
-      break;
-    case WalRecord::Type::kAbsorb:
-      writer.WriteU64(record.absorb_batches);
-      break;
-    case WalRecord::Type::kPolicy:
-      WritePolicy(writer, record.policy);
-      break;
-    case WalRecord::Type::kReplanCommit:
-      writer.WriteU64(static_cast<std::uint64_t>(record.budget));
-      break;
-  }
-  return writer.TakeBuffer();
+  writer.WriteU8(static_cast<std::uint8_t>(type));
+  return writer;
 }
 
 WalRecord DecodeRecordPayload(std::string_view payload) {
@@ -230,31 +218,27 @@ void IngestWal::Start(const WalCheckpoint& checkpoint) {
 // `kind` doubles as a flight-recorder detail, so it must be a string
 // literal (slots store raw pointers; see flight_recorder.h).
 void IngestWal::AppendBatch(const IngestBatch& batch) {
-  WalRecord record;
-  record.type = WalRecord::Type::kBatch;
-  record.batch = batch;  // copy: the caller still owns (and enqueues) it
-  AppendRecord(EncodeRecordPayload(record), "batch");
+  BinaryWriter writer = RecordWriter(WalRecord::Type::kBatch);
+  WriteBatch(writer, batch);
+  AppendRecord(writer.TakeBuffer(), "batch");
 }
 
 void IngestWal::AppendAbsorb(std::size_t batches) {
-  WalRecord record;
-  record.type = WalRecord::Type::kAbsorb;
-  record.absorb_batches = batches;
-  AppendRecord(EncodeRecordPayload(record), "absorb");
+  BinaryWriter writer = RecordWriter(WalRecord::Type::kAbsorb);
+  writer.WriteU64(batches);
+  AppendRecord(writer.TakeBuffer(), "absorb");
 }
 
 void IngestWal::AppendPolicy(const WalPolicy& policy) {
-  WalRecord record;
-  record.type = WalRecord::Type::kPolicy;
-  record.policy = policy;
-  AppendRecord(EncodeRecordPayload(record), "policy");
+  BinaryWriter writer = RecordWriter(WalRecord::Type::kPolicy);
+  WritePolicy(writer, policy);
+  AppendRecord(writer.TakeBuffer(), "policy");
 }
 
 void IngestWal::AppendReplanCommit(Cost budget) {
-  WalRecord record;
-  record.type = WalRecord::Type::kReplanCommit;
-  record.budget = budget;
-  AppendRecord(EncodeRecordPayload(record), "replan_commit");
+  BinaryWriter writer = RecordWriter(WalRecord::Type::kReplanCommit);
+  writer.WriteU64(static_cast<std::uint64_t>(budget));
+  AppendRecord(writer.TakeBuffer(), "replan_commit");
 }
 
 void IngestWal::AppendRecord(const std::string& payload, const char* kind) {

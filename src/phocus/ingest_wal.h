@@ -93,6 +93,8 @@ struct WalPolicy {
   std::size_t queue_photos = 1024;
   bool replan_every_batch = false;
   double budget_fraction = 0.0;
+
+  bool operator==(const WalPolicy&) const = default;
 };
 
 /// A full streamer snapshot. `incremental` carries the archive options

@@ -13,6 +13,29 @@ namespace phocus {
 
 namespace {
 
+void CheckPolicy(const StreamingOptions& options) {
+  PHOCUS_CHECK(options.epsilon >= 0.0, "epsilon must be non-negative");
+  PHOCUS_CHECK(options.max_staleness_ms >= 0.0,
+               "max_staleness_ms must be non-negative");
+  PHOCUS_CHECK(options.batch_photos > 0, "batch_photos must be positive");
+  PHOCUS_CHECK(options.queue_photos >= options.batch_photos,
+               "queue_photos must be at least batch_photos");
+  PHOCUS_CHECK(
+      options.budget_fraction >= 0.0 && options.budget_fraction <= 1.0,
+      "budget_fraction must be in [0, 1]");
+}
+
+WalPolicy PolicyOf(const StreamingOptions& options) {
+  WalPolicy policy;
+  policy.epsilon = options.epsilon;
+  policy.max_staleness_ms = options.max_staleness_ms;
+  policy.batch_photos = options.batch_photos;
+  policy.queue_photos = options.queue_photos;
+  policy.replan_every_batch = options.replan_every_batch;
+  policy.budget_fraction = options.budget_fraction;
+  return policy;
+}
+
 void ApplyWalPolicy(const WalPolicy& policy, StreamingOptions* options) {
   options->epsilon = policy.epsilon;
   options->max_staleness_ms = policy.max_staleness_ms;
@@ -28,15 +51,7 @@ StreamingArchiver::~StreamingArchiver() = default;
 
 StreamingArchiver::StreamingArchiver(StreamingOptions options)
     : options_(std::move(options)), archiver_(options_.incremental) {
-  PHOCUS_CHECK(options_.epsilon >= 0.0, "epsilon must be non-negative");
-  PHOCUS_CHECK(options_.max_staleness_ms >= 0.0,
-               "max_staleness_ms must be non-negative");
-  PHOCUS_CHECK(options_.batch_photos > 0, "batch_photos must be positive");
-  PHOCUS_CHECK(options_.queue_photos >= options_.batch_photos,
-               "queue_photos must be at least batch_photos");
-  PHOCUS_CHECK(options_.budget_fraction >= 0.0 &&
-                   options_.budget_fraction <= 1.0,
-               "budget_fraction must be in [0, 1]");
+  CheckPolicy(options_);
 }
 
 double StreamingArchiver::NowMs() const {
@@ -55,36 +70,18 @@ const ArchivePlan& StreamingArchiver::Initialize(Corpus corpus) {
 }
 
 void StreamingArchiver::set_policy(const StreamingOptions& options) {
-  PHOCUS_CHECK(options.epsilon >= 0.0, "epsilon must be non-negative");
-  PHOCUS_CHECK(options.max_staleness_ms >= 0.0,
-               "max_staleness_ms must be non-negative");
-  PHOCUS_CHECK(options.batch_photos > 0, "batch_photos must be positive");
-  PHOCUS_CHECK(options.queue_photos >= options.batch_photos,
-               "queue_photos must be at least batch_photos");
-  PHOCUS_CHECK(
-      options.budget_fraction >= 0.0 && options.budget_fraction <= 1.0,
-      "budget_fraction must be in [0, 1]");
+  CheckPolicy(options);
   // The incremental options (budget, representation) belong to the already-
   // constructed archiver; only the streaming policy is live-updatable.
-  const bool changed = options_.epsilon != options.epsilon ||
-                       options_.max_staleness_ms != options.max_staleness_ms ||
-                       options_.batch_photos != options.batch_photos ||
-                       options_.queue_photos != options.queue_photos ||
-                       options_.replan_every_batch !=
-                           options.replan_every_batch ||
-                       options_.budget_fraction != options.budget_fraction;
-  options_.epsilon = options.epsilon;
-  options_.max_staleness_ms = options.max_staleness_ms;
-  options_.batch_photos = options.batch_photos;
-  options_.queue_photos = options.queue_photos;
-  options_.replan_every_batch = options.replan_every_batch;
-  options_.budget_fraction = options.budget_fraction;
+  const WalPolicy policy = PolicyOf(options);
+  const bool changed = policy != PolicyOf(options_);
+  ApplyWalPolicy(policy, &options_);
   if (options.now_ms) options_.now_ms = options.now_ms;
   // Journal only real changes: phocusd re-applies the policy on every ingest
   // request, and an unconditional record would grow the log per request.
   // (Skipped while poisoned; the next rotation's checkpoint carries it.)
   if (changed && wal_ != nullptr && !wal_->poisoned()) {
-    wal_->AppendPolicy(CurrentWalPolicy());
+    wal_->AppendPolicy(policy);
   }
 
   // A cap shrunk below the pending count would otherwise shed every
@@ -123,19 +120,7 @@ IngestOutcome StreamingArchiver::Ingest(IngestBatch batch) {
             std::to_string(options_.queue_photos) + "; flush or retry later");
   }
 
-  // Durability barrier: the batch reaches the fsync'd WAL before any state
-  // changes. A fault here (full disk, injected crash) leaves the streamer
-  // untouched and the batch un-acknowledged — the client retries.
-  if (wal_ != nullptr) wal_->AppendBatch(batch);
-
-  pending_photos_ += arriving;
-  queue_.push_back(std::move(batch));
-  registry.GetCounter("ingest.batches").Increment();
-  registry.GetCounter("ingest.enqueued_photos").Add(arriving);
-  registry.GetGauge("ingest.queue_photos")
-      .Set(static_cast<double>(pending_photos_));
-  telemetry::FlightRecorder::Record("ingest.enqueue", "", arriving,
-                                    pending_photos_);
+  Enqueue(std::move(batch));
 
   IngestOutcome outcome;
   outcome.enqueued_photos = arriving;
@@ -155,11 +140,36 @@ IngestOutcome StreamingArchiver::Ingest(IngestBatch batch) {
   return outcome;
 }
 
+IngestOutcome StreamingArchiver::Update(IngestBatch batch) {
+  PHOCUS_CHECK(initialized_, "Update before Initialize");
+  const std::size_t photos = batch.photos.size();
+  const std::size_t subsets = batch.subsets.size();
+  Enqueue(std::move(batch));
+  IngestOutcome outcome;
+  DrainQueue(&outcome);
+  CommitReplan("update", archiver_.budget(), &outcome);
+  outcome.enqueued_photos = outcome.stats.photos_added = photos;
+  outcome.stats.subsets_added = subsets;
+  return outcome;
+}
+
+IngestOutcome StreamingArchiver::SetBudget(Cost budget) {
+  PHOCUS_CHECK(initialized_, "SetBudget before Initialize");
+  PHOCUS_CHECK(budget > 0, "budget must be positive");
+  IngestOutcome outcome;
+  DrainQueue(&outcome);
+  CommitReplan("set_budget", budget, &outcome);
+  return outcome;
+}
+
 IngestOutcome StreamingArchiver::Flush() {
   PHOCUS_CHECK(initialized_, "Flush before Initialize");
   telemetry::MetricsRegistry::Current().GetCounter("ingest.flushes").Increment();
   IngestOutcome outcome;
   if (queue_.empty() && archiver_.deferred_photos() == 0) {
+    // Nothing to replan, but a poisoned WAL rejects every ingest and update
+    // until a rotation heals it, so the flush barrier provides one.
+    if (wal_ != nullptr && wal_->poisoned()) wal_->Rotate(MakeCheckpoint());
     outcome.reason = "clean";
     return outcome;
   }
@@ -169,10 +179,29 @@ IngestOutcome StreamingArchiver::Flush() {
   return outcome;
 }
 
-void StreamingArchiver::DrainQueue(IngestOutcome* outcome) {
+void StreamingArchiver::Enqueue(IngestBatch batch) {
+  // Durability barrier: the batch reaches the fsync'd WAL before any state
+  // changes. A fault here (full disk, injected crash) leaves the streamer
+  // untouched and the batch un-acknowledged — the client retries.
+  if (wal_ != nullptr) wal_->AppendBatch(batch);
+
   auto& registry = telemetry::MetricsRegistry::Current();
-  std::size_t drained_batches = 0;
-  while (!queue_.empty()) {
+  const std::size_t arriving = batch.photos.size();
+  pending_photos_ += arriving;
+  queue_.push_back(std::move(batch));
+  registry.GetCounter("ingest.batches").Increment();
+  registry.GetCounter("ingest.enqueued_photos").Add(arriving);
+  registry.GetGauge("ingest.queue_photos")
+      .Set(static_cast<double>(pending_photos_));
+  telemetry::FlightRecorder::Record("ingest.enqueue", "", arriving,
+                                    pending_photos_);
+}
+
+std::size_t StreamingArchiver::AbsorbQueued(std::size_t batches) {
+  PHOCUS_CHECK(batches <= queue_.size(),
+               "absorb exceeds the queued batches");
+  std::size_t photos = 0;
+  for (std::size_t i = 0; i < batches; ++i) {
     IngestBatch batch = std::move(queue_.front());
     queue_.pop_front();
     const std::size_t absorbed = batch.photos.size();
@@ -180,10 +209,17 @@ void StreamingArchiver::DrainQueue(IngestOutcome* outcome) {
                                 std::move(batch.subsets),
                                 std::move(batch.required));
     pending_photos_ -= absorbed;
-    ++drained_batches;
-    outcome->absorbed = true;
-    registry.GetCounter("ingest.absorbed_photos").Add(absorbed);
+    photos += absorbed;
   }
+  return photos;
+}
+
+void StreamingArchiver::DrainQueue(IngestOutcome* outcome) {
+  auto& registry = telemetry::MetricsRegistry::Current();
+  const std::size_t drained_batches = queue_.size();
+  registry.GetCounter("ingest.absorbed_photos")
+      .Add(AbsorbQueued(drained_batches));
+  if (drained_batches > 0) outcome->absorbed = true;
   // One absorb marker for the whole drain. A crash before it replays the
   // batches as still-queued — same photos, same order, merely re-absorbed.
   // A poisoned WAL skips the marker (it would throw after the absorb already
@@ -228,11 +264,19 @@ void StreamingArchiver::MaybeReplan(bool force, IngestOutcome* outcome) {
     }
   }
 
+  CommitReplan(reason, archiver_.budget(), outcome);
+}
+
+void StreamingArchiver::CommitReplan(const char* reason, Cost budget,
+                                     IngestOutcome* outcome) {
+  auto& registry = telemetry::MetricsRegistry::Current();
   // A fault here (injected crash, infeasible budget) leaves the archiver on
-  // its previous plan with the drained arrivals safely absorbed-as-archived;
-  // a later Flush retries the replan — nothing is lost.
+  // its previous plan and budget (SetBudget's rollback) with the drained
+  // arrivals safely absorbed-as-archived, and nothing journaled; a later
+  // Flush retries the replan — nothing is lost.
   PHOCUS_FAILPOINT("ingest.replan");
-  archiver_.ReplanNow(&outcome->stats);
+  const std::size_t folded_in = archiver_.deferred_photos();
+  archiver_.SetBudget(budget, &outcome->stats);
   if (wal_ != nullptr) {
     // Commit marker first: once it is durable, every crash window between
     // here and the end of Rotate replays to this exact post-replan state
@@ -240,7 +284,7 @@ void StreamingArchiver::MaybeReplan(bool force, IngestOutcome* outcome) {
     // the checkpoint). A poisoned WAL cannot take the marker — go straight
     // to the rotation, whose atomic checkpoint captures the post-replan
     // state anyway and heals the poison with a fresh log.
-    if (!wal_->poisoned()) wal_->AppendReplanCommit(archiver_.budget());
+    if (!wal_->poisoned()) wal_->AppendReplanCommit(budget);
     wal_->Rotate(MakeCheckpoint());
   }
   ++replans_;
@@ -248,20 +292,8 @@ void StreamingArchiver::MaybeReplan(bool force, IngestOutcome* outcome) {
   outcome->replanned = true;
   outcome->reason = reason;
   registry.GetCounter("ingest.replans").Increment();
-  telemetry::FlightRecorder::Record("ingest.replan", reason,
-                                    outcome->stats.photos_added,
+  telemetry::FlightRecorder::Record("ingest.replan", reason, folded_in,
                                     static_cast<std::uint64_t>(replans_));
-}
-
-WalPolicy StreamingArchiver::CurrentWalPolicy() const {
-  WalPolicy policy;
-  policy.epsilon = options_.epsilon;
-  policy.max_staleness_ms = options_.max_staleness_ms;
-  policy.batch_photos = options_.batch_photos;
-  policy.queue_photos = options_.queue_photos;
-  policy.replan_every_batch = options_.replan_every_batch;
-  policy.budget_fraction = options_.budget_fraction;
-  return policy;
 }
 
 WalCheckpoint StreamingArchiver::MakeCheckpoint() const {
@@ -269,7 +301,7 @@ WalCheckpoint StreamingArchiver::MakeCheckpoint() const {
   checkpoint.epoch = wal_->epoch();
   checkpoint.base_fingerprint = base_fingerprint_;
   checkpoint.incremental = archiver_.options();
-  checkpoint.policy = CurrentWalPolicy();
+  checkpoint.policy = PolicyOf(options_);
   checkpoint.corpus = archiver_.corpus();
   checkpoint.retained = archiver_.plan().retained;
   checkpoint.deferred_photos = archiver_.deferred_photos();
@@ -284,14 +316,6 @@ void StreamingArchiver::AttachWal(std::unique_ptr<IngestWal> wal,
   wal_ = std::move(wal);
   base_fingerprint_ = base_fingerprint;
   wal_->Start(MakeCheckpoint());
-}
-
-void StreamingArchiver::CommitWalCheckpoint() {
-  if (wal_ == nullptr) return;
-  // Marker first (see MaybeReplan): the out-of-band mutation this call
-  // records (update/set_budget) replanned under the budget now in force.
-  if (!wal_->poisoned()) wal_->AppendReplanCommit(archiver_.budget());
-  wal_->Rotate(MakeCheckpoint());
 }
 
 void StreamingArchiver::DetachWal() { wal_.reset(); }
@@ -334,24 +358,13 @@ std::unique_ptr<StreamingArchiver> StreamingArchiver::RecoverFromWal(
         streamer->queue_.push_back(std::move(record.batch));
         break;
       case WalRecord::Type::kAbsorb:
-        for (std::size_t i = 0; i < record.absorb_batches; ++i) {
-          PHOCUS_CHECK(!streamer->queue_.empty(),
-                       "wal absorb record exceeds the queued batches");
-          IngestBatch batch = std::move(streamer->queue_.front());
-          streamer->queue_.pop_front();
-          const std::size_t absorbed = batch.photos.size();
-          streamer->archiver_.AddPhotosDeferred(std::move(batch.photos),
-                                                std::move(batch.subsets),
-                                                std::move(batch.required));
-          streamer->pending_photos_ -= absorbed;
-        }
+        streamer->AbsorbQueued(record.absorb_batches);
         break;
       case WalRecord::Type::kPolicy:
         ApplyWalPolicy(record.policy, &streamer->options_);
         break;
       case WalRecord::Type::kReplanCommit:
-        streamer->archiver_.SetBudgetDeferred(record.budget);
-        streamer->archiver_.ReplanNow();
+        streamer->archiver_.SetBudget(record.budget);
         ++streamer->replans_;
         streamer->last_replan_ms_ = streamer->NowMs();
         break;

@@ -28,6 +28,11 @@
 ///     (budget_fraction of TotalBytes()), applied deferred so it rides the
 ///     same replan trigger.
 ///
+/// It is the only mutator of a session's archive (archiver() is const):
+/// phocusd's `update`/`set_budget` verbs are Update/SetBudget, journaled in
+/// the same WAL records as ingest, and every replan goes through one commit
+/// step (replan, commit marker, checkpoint rotation, counters).
+///
 /// Everything observable is deterministic given the call sequence and clock:
 /// no internal threads, no real sleeps — phocusd drives one instance per
 /// session under its session mutex, and the scenario tier replays the same
@@ -37,7 +42,6 @@ namespace phocus {
 
 class IngestWal;
 struct WalCheckpoint;
-struct WalPolicy;
 
 /// Thrown when an ingest would overflow the bounded queue. Derives from
 /// CheckFailure (like InfeasibleBudgetError) so generic recovery paths keep
@@ -108,8 +112,8 @@ struct IngestOutcome {
   DriftEstimate drift;
   bool drift_evaluated = false;
   /// Why the replan decision went the way it did: "per_batch",
-  /// "drift_exceeded", "staleness", "below_epsilon", "flush", "queued", or
-  /// "clean" (flush with nothing pending).
+  /// "drift_exceeded", "staleness", "below_epsilon", "flush", "update",
+  /// "set_budget", "queued", or "clean" (flush with nothing pending).
   std::string reason;
   IncrementalUpdateStats stats;
 };
@@ -141,12 +145,6 @@ class StreamingArchiver {
   /// the session cannot recreate a headerless log after the delete.
   void DetachWal();
 
-  /// Re-checkpoints the WAL from the current state. phocusd calls this after
-  /// mutating the archiver outside the ingest path (the `update` /
-  /// `set_budget` verbs), which the record log cannot describe. No-op
-  /// without a WAL.
-  void CommitWalCheckpoint();
-
   /// Rebuilds a streamer from `wal`'s checkpoint + log tail: queued batches
   /// are re-queued, absorbs and replan commits are replayed as *decisions*
   /// (never re-decided), so the recovered state — plan bytes included — is
@@ -168,7 +166,20 @@ class StreamingArchiver {
 
   /// Drains the queue and replans if anything is pending or deferred; the
   /// durable "make the plan current" barrier. Safe to retry after a fault.
+  /// With nothing pending it still rotates a poisoned WAL, healing it.
   IngestOutcome Flush();
+
+  /// The `update` verb: journals `batch` (ids as for Ingest; no capacity
+  /// check, it never waits), drains it with anything queued, and commits a
+  /// replan at the current budget. A fault before the batch record is
+  /// durable changes nothing; a replan fault after it leaves the arrivals
+  /// absorbed-as-archived for a Flush to retry.
+  IngestOutcome Update(IngestBatch batch);
+
+  /// The `set_budget` verb: drains the queue and commits a replan at
+  /// `budget` (not re-targeted by budget_fraction). A failed replan keeps
+  /// the previous budget and plan and journals no commit.
+  IngestOutcome SetBudget(Cost budget);
 
   /// Live policy update (ε, staleness, batch/queue sizes, budget fraction);
   /// takes effect on the next Ingest/Flush.
@@ -176,7 +187,7 @@ class StreamingArchiver {
 
   const ArchivePlan& plan() const { return archiver_.plan(); }
   const Corpus& corpus() const { return archiver_.corpus(); }
-  IncrementalArchiver& archiver() { return archiver_; }
+  const IncrementalArchiver& archiver() const { return archiver_; }
   std::size_t pending_photos() const { return pending_photos_; }
   std::size_t replans() const { return replans_; }
   std::size_t replans_skipped() const { return replans_skipped_; }
@@ -185,10 +196,19 @@ class StreamingArchiver {
 
  private:
   double NowMs() const;
+  /// Journals `batch` (fsync'd before any state change) and queues it.
+  void Enqueue(IngestBatch batch);
+  /// Moves the first `batches` queued batches into the corpus, deferred
+  /// (shared by DrainQueue and WAL replay); returns the photos absorbed.
+  std::size_t AbsorbQueued(std::size_t batches);
   void DrainQueue(IngestOutcome* outcome);
+  /// The decide step: re-targets the budget (budget_fraction), then either
+  /// skips (below ε) or commits with the reason that triggered.
   void MaybeReplan(bool force, IngestOutcome* outcome);
+  /// The one commit step: replans at `budget`, journals the commit marker,
+  /// rotates the WAL, and updates counters, flight event and staleness clock.
+  void CommitReplan(const char* reason, Cost budget, IngestOutcome* outcome);
   WalCheckpoint MakeCheckpoint() const;
-  WalPolicy CurrentWalPolicy() const;
 
   StreamingOptions options_;
   IncrementalArchiver archiver_;

@@ -89,13 +89,37 @@ Json StatsToJson(const IncrementalUpdateStats& stats) {
   return out;
 }
 
-/// The `update` / `set_budget` result: the incremental stats and new plan.
-Json UpdateToJson(const std::string& session_id,
-                  const Session::UpdateOutcome& outcome) {
+Json DriftToJson(const DriftEstimate& drift) {
+  Json out = Json::Object();
+  out.Set("stale_score", drift.stale_score);
+  out.Set("upper_bound", drift.upper_bound);
+  out.Set("drift", drift.drift);
+  out.Set("relative_drift", drift.relative_drift);
+  return out;
+}
+
+/// The result of every streaming verb (update, set_budget, ingest,
+/// ingest_flush); stats and plan are present when the call replanned.
+Json IngestResultToJson(const std::string& session_id,
+                        const Session::IngestResult& ingest) {
   Json result = Json::Object();
   result.Set("session", session_id);
-  result.Set("stats", StatsToJson(outcome.stats));
-  result.Set("plan", PlanToJson(*outcome.plan));
+  result.Set("enqueued_photos", ingest.outcome.enqueued_photos);
+  result.Set("pending_photos", ingest.outcome.pending_photos);
+  result.Set("absorbed", ingest.outcome.absorbed);
+  result.Set("replanned", ingest.outcome.replanned);
+  result.Set("reason", ingest.outcome.reason);
+  result.Set("num_photos", ingest.num_photos);
+  result.Set("replans", ingest.replans);
+  result.Set("replans_skipped", ingest.replans_skipped);
+  result.Set("drift_evals", ingest.drift_evals);
+  if (ingest.outcome.drift_evaluated) {
+    result.Set("drift", DriftToJson(ingest.outcome.drift));
+  }
+  if (ingest.outcome.replanned) {
+    result.Set("stats", StatsToJson(ingest.outcome.stats));
+    result.Set("plan", PlanToJson(*ingest.plan));
+  }
   return result;
 }
 
@@ -506,28 +530,19 @@ Json ServiceServer::HandleUpdate(const Json& params) {
       static_cast<std::size_t>(params.Get("count").AsInt());
   const std::uint64_t seed =
       static_cast<std::uint64_t>(params.GetOr("seed", 1).AsInt());
-  return UpdateToJson(session->id(),
-                      session->AddGeneratedPhotos(count, seed, options));
+  return IngestResultToJson(session->id(),
+                            session->AddGeneratedPhotos(count, seed, options));
 }
 
 Json ServiceServer::HandleSetBudget(const Json& params) {
   std::shared_ptr<Session> session = FindSession(params);
   const ArchiveOptions options =
       OptionsFromParams(params, /*require_budget=*/true);
-  return UpdateToJson(session->id(),
-                      session->SetBudget(options.budget, options));
+  return IngestResultToJson(session->id(),
+                            session->SetBudget(options.budget, options));
 }
 
 namespace {
-
-Json DriftToJson(const DriftEstimate& drift) {
-  Json out = Json::Object();
-  out.Set("stale_score", drift.stale_score);
-  out.Set("upper_bound", drift.upper_bound);
-  out.Set("drift", drift.drift);
-  out.Set("relative_drift", drift.relative_drift);
-  return out;
-}
 
 Session::IngestConfig IngestConfigFromParams(const Json& params) {
   Session::IngestConfig config;
@@ -550,29 +565,6 @@ Session::IngestConfig IngestConfigFromParams(const Json& params) {
   config.backfill_members = static_cast<std::size_t>(
       params.GetOr("backfill_members", 0).AsInt());
   return config;
-}
-
-Json IngestResultToJson(const std::string& session_id,
-                        const Session::IngestResult& ingest) {
-  Json result = Json::Object();
-  result.Set("session", session_id);
-  result.Set("enqueued_photos", ingest.outcome.enqueued_photos);
-  result.Set("pending_photos", ingest.outcome.pending_photos);
-  result.Set("absorbed", ingest.outcome.absorbed);
-  result.Set("replanned", ingest.outcome.replanned);
-  result.Set("reason", ingest.outcome.reason);
-  result.Set("num_photos", ingest.num_photos);
-  result.Set("replans", ingest.replans);
-  result.Set("replans_skipped", ingest.replans_skipped);
-  result.Set("drift_evals", ingest.drift_evals);
-  if (ingest.outcome.drift_evaluated) {
-    result.Set("drift", DriftToJson(ingest.outcome.drift));
-  }
-  if (ingest.outcome.replanned) {
-    result.Set("stats", StatsToJson(ingest.outcome.stats));
-    result.Set("plan", PlanToJson(*ingest.plan));
-  }
-  return result;
 }
 
 }  // namespace

@@ -24,21 +24,26 @@ Session::Session(std::string id, Corpus corpus, std::string wal_dir)
       wal_dir_(std::move(wal_dir)),
       corpus_(std::move(corpus)) {}
 
+const Corpus& Session::CorpusLocked() const {
+  return streamer_ != nullptr ? streamer_->corpus() : corpus_;
+}
+
 Json Session::Describe() {
   std::lock_guard<std::mutex> lock(mutex_);
+  const Corpus& corpus = CorpusLocked();
   Json out = Json::Object();
   out.Set("session", id_);
-  out.Set("corpus", corpus_.name);
-  out.Set("num_photos", corpus_.num_photos());
-  out.Set("total_bytes", corpus_.TotalBytes());
-  out.Set("num_subsets", corpus_.subsets.size());
-  out.Set("num_required", corpus_.required.size());
+  out.Set("corpus", corpus.name);
+  out.Set("num_photos", corpus.num_photos());
+  out.Set("total_bytes", corpus.TotalBytes());
+  out.Set("num_subsets", corpus.subsets.size());
+  out.Set("num_required", corpus.required.size());
   return out;
 }
 
 ArchivePlan Session::SolveLocked(const ArchiveOptions& options) {
   if (system_ == nullptr) {
-    system_ = std::make_unique<PhocusSystem>(corpus_);
+    system_ = std::make_unique<PhocusSystem>(CorpusLocked());
   }
   return system_->PlanArchive(options);
 }
@@ -47,7 +52,7 @@ std::string Session::FingerprintLocked() {
   if (fingerprint_.empty()) {
     fingerprint_ = StrFormat(
         "%016llx",
-        static_cast<unsigned long long>(Fnv64(EncodeCorpus(corpus_))));
+        static_cast<unsigned long long>(Fnv64(EncodeCorpus(CorpusLocked()))));
   }
   return fingerprint_;
 }
@@ -87,25 +92,34 @@ Session::PlanOutcome Session::Plan(const ArchiveOptions& options,
   }
   last_plan_ = outcome.plan;
   last_options_ = options;
-  has_plan_ = true;
   return outcome;
 }
 
 namespace {
 
+/// The streamer's post-absorb id space: the next batch's first photo lands
+/// after everything absorbed plus everything queued.
+PhotoId NextPhotoId(const StreamingArchiver& streamer) {
+  return static_cast<PhotoId>(streamer.corpus().num_photos() +
+                              streamer.pending_photos());
+}
+
 /// Deterministic arrivals: a fresh mini-corpus whose subsets are remapped
 /// into the appended id space (they only reference the new photos).
-Corpus GenerateArrivals(std::size_t count, std::uint64_t seed,
-                        PhotoId offset) {
+IngestBatch GenerateArrivals(std::size_t count, std::uint64_t seed,
+                             PhotoId offset) {
   OpenImagesOptions generate;
   generate.num_photos = count;
   generate.seed = seed;
   Corpus arrivals = GenerateOpenImagesCorpus(generate);
-  for (SubsetSpec& spec : arrivals.subsets) {
+  IngestBatch batch;
+  batch.photos = std::move(arrivals.photos);
+  batch.subsets = std::move(arrivals.subsets);
+  for (SubsetSpec& spec : batch.subsets) {
     spec.name = StrFormat("%s@%u", spec.name.c_str(), offset);
     for (PhotoId& member : spec.members) member += offset;
   }
-  return arrivals;
+  return batch;
 }
 
 }  // namespace
@@ -115,127 +129,111 @@ bool Session::HasRecoverableWalLocked() const {
 }
 
 StreamingArchiver& Session::StreamerLocked(const ArchiveOptions& options) {
-  if (streamer_ == nullptr) {
-    if (HasRecoverableWalLocked()) {
-      // A WAL for this session survived a restart: rebuild the streamer from
-      // it instead of solving from scratch. The fingerprint over this
-      // session's base corpus must match the one the WAL was started with —
-      // a recreated session with a different corpus must not adopt another
-      // history's queue. When they disagree (sessions recreated in a
-      // different order, or over a different base corpus), the WAL is
-      // quarantined — renamed aside, never deleted — and the session starts
-      // fresh: wedging every request on the mismatch would leave
-      // close_session (which deletes the WAL) as the only escape,
-      // discarding the very queue the WAL protects.
-      try {
-        streamer_ = StreamingArchiver::RecoverFromWal(
-            std::make_unique<IngestWal>(wal_dir_, id_),
-            WalChecksum(EncodeCorpus(corpus_)));
-      } catch (const WalMismatchError& mismatch) {
-        PHOCUS_LOG(kWarn) << "session " << id_
-                          << ": surviving ingest wal refused ("
-                          << mismatch.what() << "); quarantining it";
-        IngestWal(wal_dir_, id_).Quarantine();
-      }
-      if (streamer_ != nullptr) {
-        corpus_ = streamer_->corpus();
-        InvalidateLocked();
-        last_plan_ = std::make_shared<const ArchivePlan>(streamer_->plan());
-        last_options_ = streamer_->archiver().options().archive;
-        has_plan_ = true;
-        return *streamer_;
-      }
+  if (streamer_ != nullptr) return *streamer_;
+  const std::uint64_t base_fingerprint =
+      wal_dir_.empty() ? 0 : WalChecksum(EncodeCorpus(corpus_));
+  if (HasRecoverableWalLocked()) {
+    // A WAL for this session survived a restart: rebuild the streamer from
+    // it instead of solving from scratch. The fingerprint over this
+    // session's base corpus must match the one the WAL was started with —
+    // a recreated session with a different corpus must not adopt another
+    // history's queue. When they disagree (sessions recreated in a
+    // different order, or over a different base corpus), the WAL is
+    // quarantined — renamed aside, never deleted — and the session starts
+    // fresh: wedging every request on the mismatch would leave
+    // close_session (which deletes the WAL) as the only escape, discarding
+    // the very queue the WAL protects.
+    try {
+      streamer_ = StreamingArchiver::RecoverFromWal(
+          std::make_unique<IngestWal>(wal_dir_, id_), base_fingerprint);
+    } catch (const WalMismatchError& mismatch) {
+      PHOCUS_LOG(kWarn) << "session " << id_
+                        << ": surviving ingest wal refused ("
+                        << mismatch.what() << "); quarantining it";
+      IngestWal(wal_dir_, id_).Quarantine();
     }
+    if (streamer_ != nullptr) {
+      InvalidateLocked();  // the recovered corpus has grown past the base
+      last_plan_ = std::make_shared<const ArchivePlan>(streamer_->plan());
+      last_options_ = streamer_->archiver().options().archive;
+    }
+  }
+  if (streamer_ == nullptr) {
     // No incremental state yet: seed it with the request's options, or fall
     // back to the options of the last full plan.
     ArchiveOptions initial = options;
-    if (initial.budget == 0 && has_plan_) initial = last_options_;
+    if (initial.budget == 0 && last_plan_ != nullptr) initial = last_options_;
     PHOCUS_CHECK(initial.budget > 0,
                  "first update needs a budget (pass one or plan first)");
     StreamingOptions streaming;
     streaming.incremental.archive = initial;
-    streamer_ = std::make_unique<StreamingArchiver>(streaming);
-    streamer_->Initialize(corpus_);
+    // Built aside and installed only once ready: a failed initial solve or
+    // WAL start leaves the session on its base corpus, retryable.
+    auto streamer = std::make_unique<StreamingArchiver>(streaming);
+    streamer->Initialize(corpus_);
     if (!wal_dir_.empty()) {
-      streamer_->AttachWal(std::make_unique<IngestWal>(wal_dir_, id_),
-                           WalChecksum(EncodeCorpus(corpus_)));
+      streamer->AttachWal(std::make_unique<IngestWal>(wal_dir_, id_),
+                          base_fingerprint);
     }
+    streamer_ = std::move(streamer);
     last_options_ = initial;
   }
+  corpus_ = Corpus();  // the streamer owns the corpus from here on
   return *streamer_;
 }
 
-Session::UpdateOutcome Session::AddGeneratedPhotos(
+Session::IngestResult Session::StreamLocked(
+    const std::function<IngestOutcome(StreamingArchiver&)>& call) {
+  IngestResult result;
+  try {
+    result.outcome = call(*streamer_);
+  } catch (...) {
+    InvalidateLocked();
+    throw;
+  }
+  if (result.outcome.absorbed) InvalidateLocked();
+  if (result.outcome.replanned) {
+    result.plan = std::make_shared<const ArchivePlan>(streamer_->plan());
+    last_plan_ = result.plan;
+  }
+  result.num_photos = streamer_->corpus().num_photos();
+  result.replans = streamer_->replans();
+  result.replans_skipped = streamer_->replans_skipped();
+  result.drift_evals = streamer_->drift_evals();
+  return result;
+}
+
+Session::IngestResult Session::AddGeneratedPhotos(
     std::size_t count, std::uint64_t seed, const ArchiveOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   PHOCUS_CHECK(count > 0, "update needs count > 0");
-  UpdateOutcome outcome;
-  StreamingArchiver& streamer = StreamerLocked(options);
-  // A synchronous update must see every queued streaming batch absorbed
-  // first: arrivals are numbered in the post-absorb id space, so the queue
-  // is flushed before computing this update's offset.
-  if (streamer.pending_photos() > 0) streamer.Flush();
-
-  Corpus arrivals =
-      GenerateArrivals(count, seed,
-                       static_cast<PhotoId>(streamer.corpus().num_photos()));
-  streamer.archiver().AddPhotos(std::move(arrivals.photos),
-                                std::move(arrivals.subsets), {},
-                                &outcome.stats);
-  // The update mutated the archiver outside the WAL's record vocabulary —
-  // re-checkpoint so a recovery reflects it.
-  streamer.CommitWalCheckpoint();
-  corpus_ = streamer.corpus();
-  InvalidateLocked();
-  outcome.plan = std::make_shared<const ArchivePlan>(streamer.plan());
-  last_plan_ = outcome.plan;
-  has_plan_ = true;
-  return outcome;
+  StreamerLocked(options);
+  return StreamLocked([&](StreamingArchiver& streamer) {
+    return streamer.Update(
+        GenerateArrivals(count, seed, NextPhotoId(streamer)));
+  });
 }
 
-Session::UpdateOutcome Session::SetBudget(Cost budget,
-                                          const ArchiveOptions& options) {
+Session::IngestResult Session::SetBudget(Cost budget,
+                                         const ArchiveOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   PHOCUS_CHECK(budget > 0, "budget must be positive");
-  UpdateOutcome outcome;
-  if (streamer_ == nullptr && !HasRecoverableWalLocked()) {
-    ArchiveOptions with_budget = options;
-    with_budget.budget = budget;
-    StreamerLocked(with_budget);  // initial solve at the requested budget
-  } else {
-    // Existing streamer, or one about to be recovered from a WAL (which
-    // carries its own pre-crash budget): apply the new budget explicitly.
-    ArchiveOptions with_budget = options;
-    with_budget.budget = budget;
-    StreamingArchiver& streamer = StreamerLocked(with_budget);
-    if (streamer.pending_photos() > 0) streamer.Flush();
-    streamer.archiver().SetBudget(budget, &outcome.stats);
-    streamer.CommitWalCheckpoint();
-    corpus_ = streamer.corpus();
-    InvalidateLocked();
-  }
+  ArchiveOptions with_budget = options;
+  with_budget.budget = budget;
+  // A fresh streamer's initial solve already ran at `budget`; an existing
+  // one — or one recovered from a WAL, which carries its own pre-crash
+  // budget — commits the new budget.
+  const bool fresh = streamer_ == nullptr && !HasRecoverableWalLocked();
+  StreamerLocked(with_budget);
+  IngestResult result = StreamLocked([&](StreamingArchiver& streamer) {
+    if (!fresh) return streamer.SetBudget(budget);
+    IngestOutcome initial_solve;
+    initial_solve.replanned = true;
+    initial_solve.reason = "set_budget";
+    return initial_solve;
+  });
   last_options_.budget = budget;
-  outcome.plan = std::make_shared<const ArchivePlan>(streamer_->plan());
-  last_plan_ = outcome.plan;
-  has_plan_ = true;
-  return outcome;
-}
-
-void Session::AbsorbStreamerStateLocked(const IngestOutcome& outcome,
-                                        IngestResult* result) {
-  if (outcome.absorbed) {
-    corpus_ = streamer_->corpus();
-    InvalidateLocked();
-  }
-  if (outcome.replanned) {
-    result->plan = std::make_shared<const ArchivePlan>(streamer_->plan());
-    last_plan_ = result->plan;
-    has_plan_ = true;
-  }
-  result->num_photos = corpus_.num_photos();
-  result->replans = streamer_->replans();
-  result->replans_skipped = streamer_->replans_skipped();
-  result->drift_evals = streamer_->drift_evals();
+  return result;
 }
 
 Session::IngestResult Session::Ingest(std::size_t count, std::uint64_t seed,
@@ -255,14 +253,8 @@ Session::IngestResult Session::Ingest(std::size_t count, std::uint64_t seed,
   policy.now_ms = std::move(now_ms);
   streamer.set_policy(policy);
 
-  // Queued batches are numbered in the post-absorb id space: this batch's
-  // first photo lands after everything absorbed plus everything queued.
-  const PhotoId offset = static_cast<PhotoId>(streamer.corpus().num_photos() +
-                                              streamer.pending_photos());
-  Corpus arrivals = GenerateArrivals(count, seed, offset);
-  IngestBatch batch;
-  batch.photos = std::move(arrivals.photos);
-  batch.subsets = std::move(arrivals.subsets);
+  const PhotoId offset = NextPhotoId(streamer);
+  IngestBatch batch = GenerateArrivals(count, seed, offset);
   if (config.backfill_members > 0 && offset > 0) {
     // Out-of-order metadata: an old album's page arrives only now, naming
     // photos ingested long ago. Deterministic from the seed.
@@ -282,10 +274,9 @@ Session::IngestResult Session::Ingest(std::size_t count, std::uint64_t seed,
     batch.subsets.push_back(std::move(backfill));
   }
 
-  IngestResult result;
-  result.outcome = streamer.Ingest(std::move(batch));
-  AbsorbStreamerStateLocked(result.outcome, &result);
-  return result;
+  return StreamLocked([&](StreamingArchiver& target) {
+    return target.Ingest(std::move(batch));
+  });
 }
 
 Session::IngestResult Session::IngestFlush() {
@@ -297,15 +288,13 @@ Session::IngestResult Session::IngestFlush() {
   }
   PHOCUS_CHECK(streamer_ != nullptr,
                "ingest_flush before any ingest/update on session " + id_);
-  IngestResult result;
-  result.outcome = streamer_->Flush();
-  AbsorbStreamerStateLocked(result.outcome, &result);
-  return result;
+  return StreamLocked(
+      [](StreamingArchiver& streamer) { return streamer.Flush(); });
 }
 
 Json Session::Coverage(std::size_t top_k) {
   std::lock_guard<std::mutex> lock(mutex_);
-  PHOCUS_CHECK(has_plan_, "no plan yet for session " + id_);
+  PHOCUS_CHECK(last_plan_ != nullptr, "no plan yet for session " + id_);
   Json rows = Json::Array();
   const std::vector<SubsetCoverage>& coverage = last_plan_->subset_coverage;
   const std::size_t limit =
@@ -328,9 +317,10 @@ Json Session::Coverage(std::size_t top_k) {
 
 Json Session::Explain(PhotoId photo) {
   std::lock_guard<std::mutex> lock(mutex_);
-  PHOCUS_CHECK(has_plan_, "no plan yet for session " + id_);
-  PHOCUS_CHECK(photo < corpus_.num_photos(), "photo id out of range");
-  const ParInstance instance = BuildInstance(corpus_, last_options_.budget,
+  PHOCUS_CHECK(last_plan_ != nullptr, "no plan yet for session " + id_);
+  const Corpus& corpus = CorpusLocked();
+  PHOCUS_CHECK(photo < corpus.num_photos(), "photo id out of range");
+  const ParInstance instance = BuildInstance(corpus, last_options_.budget,
                                              last_options_.representation);
   const bool retained = std::binary_search(last_plan_->retained.begin(),
                                            last_plan_->retained.end(), photo);
@@ -350,11 +340,11 @@ Json Session::Explain(PhotoId photo) {
 
 Json Session::ArchiveToVault(const std::string& directory, int render_size) {
   std::lock_guard<std::mutex> lock(mutex_);
-  PHOCUS_CHECK(has_plan_, "no plan yet for session " + id_);
+  PHOCUS_CHECK(last_plan_ != nullptr, "no plan yet for session " + id_);
   std::filesystem::create_directories(directory);
   ArchiveVault vault(directory);
   const ArchiveToVaultReport report =
-      ArchivePlanToVault(corpus_, *last_plan_, vault, render_size);
+      ArchivePlanToVault(CorpusLocked(), *last_plan_, vault, render_size);
   Json out = Json::Object();
   out.Set("session", id_);
   out.Set("directory", directory);

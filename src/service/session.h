@@ -16,11 +16,15 @@
 #include "util/json.h"
 
 /// \file session.h
-/// Per-client serving state for phocusd. A Session owns one corpus plus the
-/// machinery to answer repeated questions about it: a PhocusSystem facade
-/// (rebuilt lazily after mutations), an IncrementalArchiver for `update`
-/// streams, the most recent plan (for coverage/explain/archive_to_vault),
+/// Per-client serving state for phocusd. A Session answers repeated
+/// questions about one corpus: a PhocusSystem facade (rebuilt lazily after
+/// mutations), the most recent plan (for coverage/explain/archive_to_vault),
 /// and a cached corpus fingerprint feeding the server-wide PlanCache.
+///
+/// The session owns its base corpus until the first streaming touch
+/// (`update`, `set_budget`, `ingest`, `ingest_flush`) creates — or recovers
+/// from the WAL — a StreamingArchiver. From then on the streamer owns the
+/// corpus and is its only mutator; all four verbs share one post-call sync.
 ///
 /// Locking is fine-grained: the SessionManager's map lock is only held for
 /// id lookup; all real work happens under the individual session's mutex, so
@@ -55,21 +59,6 @@ class Session {
   /// A cache hit is served without touching the solver.
   PlanOutcome Plan(const ArchiveOptions& options, PlanCache* cache);
 
-  struct UpdateOutcome {
-    std::shared_ptr<const ArchivePlan> plan;
-    IncrementalUpdateStats stats;
-  };
-
-  /// Folds `count` freshly generated photos (deterministic from `seed`) into
-  /// the plan via the IncrementalArchiver. The first update performs the
-  /// archiver's initial solve with `options`; later updates reuse it.
-  UpdateOutcome AddGeneratedPhotos(std::size_t count, std::uint64_t seed,
-                                   const ArchiveOptions& options);
-
-  /// Re-plans incrementally under a new budget. Throws InfeasibleBudgetError
-  /// when the budget cannot cover the required set S0.
-  UpdateOutcome SetBudget(Cost budget, const ArchiveOptions& options);
-
   /// Streaming-ingest policy knobs carried on each `ingest` request (see
   /// StreamingOptions for semantics). Applied live before the batch.
   struct IngestConfig {
@@ -85,10 +74,11 @@ class Session {
     std::size_t backfill_members = 0;
   };
 
+  /// What one streaming verb did (update, set_budget, ingest, ingest_flush).
   struct IngestResult {
     IngestOutcome outcome;
-    /// The fresh plan when the call replanned; null when the batch merely
-    /// queued or stayed below ε.
+    /// The fresh plan when the call replanned (always, for update and
+    /// set_budget); null when an ingest merely queued or stayed below ε.
     std::shared_ptr<const ArchivePlan> plan;
     std::size_t num_photos = 0;  ///< corpus photos after the call (absorbed)
     /// Session-lifetime totals, for wire responses and scenario guards.
@@ -96,6 +86,17 @@ class Session {
     std::size_t replans_skipped = 0;
     std::size_t drift_evals = 0;
   };
+
+  /// Folds `count` freshly generated photos (deterministic from `seed`) into
+  /// the plan via StreamingArchiver::Update. The first streaming touch
+  /// performs the initial solve with `options`.
+  IngestResult AddGeneratedPhotos(std::size_t count, std::uint64_t seed,
+                                  const ArchiveOptions& options);
+
+  /// Re-plans incrementally under a new budget (StreamingArchiver::SetBudget;
+  /// a first touch solves at `budget` instead). Throws InfeasibleBudgetError
+  /// when the budget cannot cover the required set S0.
+  IngestResult SetBudget(Cost budget, const ArchiveOptions& options);
 
   /// Enqueues `count` deterministically generated photos (from `seed`) into
   /// the session's bounded streaming queue. The first ingest (or update)
@@ -132,6 +133,8 @@ class Session {
   void CloseWal();
 
  private:
+  /// The base corpus before the first streaming touch, the streamer's after.
+  const Corpus& CorpusLocked() const;
   ArchivePlan SolveLocked(const ArchiveOptions& options);
   std::string FingerprintLocked();
   void InvalidateLocked();
@@ -142,22 +145,20 @@ class Session {
   /// wal_dir configured, either recovers the surviving WAL (replaying the
   /// queue tail) or attaches a fresh one.
   StreamingArchiver& StreamerLocked(const ArchiveOptions& options);
-  /// Syncs corpus_ from the streamer and refreshes last_plan_ bookkeeping
-  /// after a streamer call that absorbed photos and/or replanned.
-  void AbsorbStreamerStateLocked(const IngestOutcome& outcome,
-                                 IngestResult* result);
+  /// The post-call sync of the streaming verbs: runs `call`, drops the
+  /// caches of a grown corpus (also on a throw — a failed commit may have
+  /// absorbed journaled arrivals) and publishes a replanned plan.
+  IngestResult StreamLocked(
+      const std::function<IngestOutcome(StreamingArchiver&)>& call);
 
   const std::string id_;
   const std::string wal_dir_;  ///< empty = ingest durability off
   std::mutex mutex_;
-  Corpus corpus_;
-  std::unique_ptr<PhocusSystem> system_;  // lazily (re)built from corpus_
-  /// One streaming archiver serves both the `update` path (flush + immediate
-  /// AddPhotos replan) and the `ingest` path (queued, drift-triggered).
-  std::unique_ptr<StreamingArchiver> streamer_;
+  Corpus corpus_;  ///< the base corpus; released once streamer_ owns it
+  std::unique_ptr<PhocusSystem> system_;  // lazily (re)built from the corpus
+  std::unique_ptr<StreamingArchiver> streamer_;  ///< from the first touch
   std::shared_ptr<const ArchivePlan> last_plan_;
   ArchiveOptions last_options_;
-  bool has_plan_ = false;
   std::string fingerprint_;  // empty = stale
 };
 

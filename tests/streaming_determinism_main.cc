@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "datagen/corpus_io.h"
 #include "datagen/openimages.h"
@@ -17,7 +16,8 @@
 /// \file streaming_determinism_main.cc
 /// Emits the deterministic JSON serialization of a full streaming-ingest
 /// session on stdout: a bursty upload stream driven through StreamingArchiver
-/// in drift-triggered mode, ending with a flush. cmake/plan_determinism.cmake
+/// in drift-triggered mode, with an `update` commit and a `set_budget` shrink
+/// along the way, ending with a flush. cmake/plan_determinism.cmake
 /// runs this binary under every PHOCUS_KERNELS table the machine advertises
 /// crossed with several PHOCUS_NUM_THREADS values and fails unless all
 /// outputs are byte-identical — the streaming tier's determinism contract:
@@ -50,13 +50,43 @@ phocus::IngestBatch MakeBatch(std::size_t count, std::uint64_t seed,
   return batch;
 }
 
-/// One ingest step against `archiver`, offsetting ids past everything the
-/// archiver already knows about (absorbed or queued).
-void IngestBurst(phocus::StreamingArchiver& archiver, std::size_t size,
-                 std::uint64_t seed) {
+/// The session script: bursty ingests with one `update` commit and one
+/// `set_budget` shrink in between, so the sweep covers every journaled verb.
+enum class Verb { kIngest, kUpdate, kShrink, kFlush };
+struct Step {
+  Verb verb;
+  std::size_t photos;
+};
+constexpr Step kScript[] = {
+    {Verb::kIngest, 14}, {Verb::kIngest, 3},  {Verb::kIngest, 3},
+    {Verb::kUpdate, 8},  {Verb::kShrink, 0},  {Verb::kIngest, 22},
+    {Verb::kIngest, 4},  {Verb::kIngest, 16}, {Verb::kFlush, 0},
+};
+constexpr std::size_t kSteps = sizeof(kScript) / sizeof(kScript[0]);
+/// The WAL phase abandons its archiver after this many steps: both verbs
+/// are journaled and the queue is non-empty.
+constexpr std::size_t kCrashAfter = 7;
+
+/// Runs script step `i`, offsetting batch ids past everything the archiver
+/// already knows about (absorbed or queued).
+void RunStep(phocus::StreamingArchiver& archiver, std::size_t i) {
+  const Step& step = kScript[i];
   const phocus::PhotoId offset = static_cast<phocus::PhotoId>(
       archiver.corpus().num_photos() + archiver.pending_photos());
-  archiver.Ingest(MakeBatch(size, seed, offset));
+  switch (step.verb) {
+    case Verb::kIngest:
+      archiver.Ingest(MakeBatch(step.photos, 900 + i, offset));
+      break;
+    case Verb::kUpdate:
+      archiver.Update(MakeBatch(step.photos, 900 + i, offset));
+      break;
+    case Verb::kShrink:
+      archiver.SetBudget(archiver.budget() * 9 / 10);
+      break;
+    case Verb::kFlush:
+      archiver.Flush();
+      break;
+  }
 }
 
 }  // namespace
@@ -82,12 +112,7 @@ int main(int argc, char** argv) {
   phocus::StreamingArchiver archiver(options);
   archiver.Initialize(base);
 
-  const std::vector<std::size_t> bursts = {14, 3, 3, 22, 4, 16};
-  std::uint64_t seed = 900;
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    IngestBurst(archiver, bursts[i], seed + i);
-  }
-  archiver.Flush();
+  for (std::size_t step = 0; step < kSteps; ++step) RunStep(archiver, step);
 
   // The replan/skip counts are part of the determinism contract: a drift
   // decision that flips across thread counts would change them even when
@@ -101,7 +126,7 @@ int main(int argc, char** argv) {
   std::fputc('\n', stdout);
 
   // --- WAL crash/recovery phase -------------------------------------------
-  // Same schedule, but the archiver is abandoned after the fourth burst with
+  // Same script, but the archiver is abandoned after kCrashAfter steps with
   // its queue non-empty and the WAL left on disk, then rebuilt via
   // RecoverFromWal. The recovered run must land on the same plan bytes.
   namespace fs = std::filesystem;
@@ -118,18 +143,17 @@ int main(int argc, char** argv) {
     crashing.Initialize(base);
     crashing.AttachWal(
         std::make_unique<phocus::IngestWal>(wal_dir, "det"), fingerprint);
-    for (std::size_t i = 0; i < 4; ++i) {
-      IngestBurst(crashing, bursts[i], seed + i);
+    for (std::size_t step = 0; step < kCrashAfter; ++step) {
+      RunStep(crashing, step);
     }
     // Scope exit without Flush: the queue tail lives only in the WAL now.
   }
   std::unique_ptr<phocus::StreamingArchiver> recovered =
       phocus::StreamingArchiver::RecoverFromWal(
           std::make_unique<phocus::IngestWal>(wal_dir, "det"), fingerprint);
-  for (std::size_t i = 4; i < bursts.size(); ++i) {
-    IngestBurst(*recovered, bursts[i], seed + i);
+  for (std::size_t step = kCrashAfter; step < kSteps; ++step) {
+    RunStep(*recovered, step);
   }
-  recovered->Flush();
   const std::string recovered_json =
       phocus::service::PlanToJson(recovered->plan()).Dump(1);
   recovered.reset();

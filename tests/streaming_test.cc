@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -737,30 +738,53 @@ TEST(WalScenario, RecoveryIsByteIdenticalToCrashFreeRun) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(WalScenario, AppendFaultLeavesBatchUnackedAndUnlogged) {
-  const std::string dir = FreshWalDir("append_fault");
-  const Corpus base = BaseCorpus();
-  const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
-  StreamingOptions options = BaseStreaming(base);
-  options.batch_photos = 64;  // queue only
-  StreamingArchiver archiver(options);
-  archiver.Initialize(base);
-  archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
-  Burst(archiver, 5, 1);
-
-  {
-    failpoint::ScopedFailpoint guard("wal.append", "error");
-    EXPECT_THROW(Burst(archiver, 5, 2), failpoint::InjectedFault);
+/// The two ways a batch enters the journal: a queued `ingest` and the
+/// `update` verb, which commits its batch at once.
+void IngestOrUpdate(StreamingArchiver& archiver, bool update,
+                    std::size_t count, std::uint64_t seed) {
+  if (!update) {
+    Burst(archiver, count, seed);
+    return;
   }
-  EXPECT_EQ(archiver.pending_photos(), 5u) << "failed append left no trace";
+  archiver.Update(ArrivalBatch(
+      count, seed,
+      static_cast<PhotoId>(archiver.corpus().num_photos() +
+                           archiver.pending_photos())));
+}
 
-  // The log agrees with the in-memory state: replay queues only batch one.
-  std::unique_ptr<StreamingArchiver> recovered =
-      StreamingArchiver::RecoverFromWal(std::make_unique<IngestWal>(dir, "s"),
-                                        fingerprint);
-  EXPECT_EQ(recovered->pending_photos(), 5u);
-  recovered.reset();
-  std::filesystem::remove_all(dir);
+TEST(WalScenario, AppendFaultLeavesBatchUnackedAndUnlogged) {
+  for (const bool update : {false, true}) {
+    SCOPED_TRACE(update ? "update" : "ingest");
+    const std::string dir = FreshWalDir("append_fault");
+    const Corpus base = BaseCorpus();
+    const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
+    StreamingOptions options = BaseStreaming(base);
+    options.batch_photos = 64;  // queue only
+    StreamingArchiver archiver(options);
+    archiver.Initialize(base);
+    archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
+    Burst(archiver, 5, 1);
+    const std::string plan_before =
+        service::PlanToJson(archiver.plan()).Dump(1);
+
+    {
+      failpoint::ScopedFailpoint guard("wal.append", "error");
+      EXPECT_THROW(IngestOrUpdate(archiver, update, 5, 2),
+                   failpoint::InjectedFault);
+    }
+    EXPECT_EQ(archiver.pending_photos(), 5u) << "failed append left no trace";
+    EXPECT_EQ(archiver.corpus().num_photos(), base.num_photos());
+    EXPECT_EQ(service::PlanToJson(archiver.plan()).Dump(1), plan_before);
+
+    // The log agrees with the in-memory state: replay queues only batch one.
+    std::unique_ptr<StreamingArchiver> recovered =
+        StreamingArchiver::RecoverFromWal(
+            std::make_unique<IngestWal>(dir, "s"), fingerprint);
+    EXPECT_EQ(recovered->pending_photos(), 5u);
+    EXPECT_EQ(recovered->corpus().num_photos(), base.num_photos());
+    recovered.reset();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(WalScenario, AppendCrashTearsTailAndRecoveryTruncatesIt) {
@@ -866,45 +890,53 @@ TEST(WalScenario, FsyncFaultRollsBackTheUnsyncedRecord) {
 }
 
 TEST(WalScenario, PoisonedWalRejectsIngestUntilARotationHeals) {
-  const std::string dir = FreshWalDir("poison");
-  const Corpus base = BaseCorpus();
-  const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
-  StreamingOptions options = BaseStreaming(base);
-  options.batch_photos = 64;
-  StreamingArchiver archiver(options);
-  archiver.Initialize(base);
-  archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
-  Burst(archiver, 5, 1);
+  // With a batch queued the healing flush replans; with an empty queue it
+  // is a clean flush that must still rotate.
+  for (const std::size_t queued : {5u, 0u}) {
+    SCOPED_TRACE(queued);
+    const std::string dir = FreshWalDir("poison");
+    const Corpus base = BaseCorpus();
+    const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
+    StreamingOptions options = BaseStreaming(base);
+    options.batch_photos = 64;
+    StreamingArchiver archiver(options);
+    archiver.Initialize(base);
+    archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
+    if (queued > 0) Burst(archiver, queued, 1);
 
-  // Torn write whose truncation repair also fails: the log may end in
-  // garbage, so the WAL poisons itself rather than risk a record landing
-  // after it.
-  const std::uint64_t poisonings_before =
-      CounterValue("ingest.wal_poisonings");
-  {
-    failpoint::ScopedFailpoint tear("wal.append", "short_write");
-    failpoint::ScopedFailpoint no_repair("wal.repair", "error");
-    EXPECT_THROW(Burst(archiver, 5, 2), failpoint::InjectedFault);
+    // Torn write whose truncation repair also fails: the log may end in
+    // garbage, so the WAL poisons itself rather than risk a record landing
+    // after it.
+    const std::uint64_t poisonings_before =
+        CounterValue("ingest.wal_poisonings");
+    {
+      failpoint::ScopedFailpoint tear("wal.append", "short_write");
+      failpoint::ScopedFailpoint no_repair("wal.repair", "error");
+      EXPECT_THROW(Burst(archiver, 5, 2), failpoint::InjectedFault);
+    }
+    EXPECT_EQ(CounterValue("ingest.wal_poisonings"), poisonings_before + 1);
+
+    // Every further ingest or update is rejected — the batch is neither
+    // acked nor enqueued, so nothing can be written after the torn bytes.
+    EXPECT_THROW(Burst(archiver, 5, 3), CheckFailure);
+    EXPECT_THROW(IngestOrUpdate(archiver, /*update=*/true, 5, 3),
+                 CheckFailure);
+    EXPECT_EQ(archiver.pending_photos(), queued);
+    EXPECT_EQ(archiver.corpus().num_photos(), base.num_photos());
+
+    // A flush rotates (fresh checkpoint + fresh log), which heals the WAL.
+    archiver.Flush();
+    Burst(archiver, 5, 4);
+    EXPECT_EQ(archiver.pending_photos(), 5u);
+
+    std::unique_ptr<StreamingArchiver> recovered =
+        StreamingArchiver::RecoverFromWal(
+            std::make_unique<IngestWal>(dir, "s"), fingerprint);
+    EXPECT_EQ(recovered->corpus().num_photos(), base.num_photos() + queued);
+    EXPECT_EQ(recovered->pending_photos(), 5u);
+    recovered.reset();
+    std::filesystem::remove_all(dir);
   }
-  EXPECT_EQ(CounterValue("ingest.wal_poisonings"), poisonings_before + 1);
-
-  // Every further ingest is rejected — the batch is neither acked nor
-  // enqueued, so nothing can be written after the torn bytes.
-  EXPECT_THROW(Burst(archiver, 5, 3), CheckFailure);
-  EXPECT_EQ(archiver.pending_photos(), 5u);
-
-  // A flush rotates (fresh checkpoint + fresh log), which heals the WAL.
-  archiver.Flush();
-  Burst(archiver, 5, 4);
-  EXPECT_EQ(archiver.pending_photos(), 5u);
-
-  std::unique_ptr<StreamingArchiver> recovered =
-      StreamingArchiver::RecoverFromWal(std::make_unique<IngestWal>(dir, "s"),
-                                        fingerprint);
-  EXPECT_EQ(recovered->corpus().num_photos(), base.num_photos() + 5);
-  EXPECT_EQ(recovered->pending_photos(), 5u);
-  recovered.reset();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalScenario, FsyncCrashLeavesBatchDurableButUnacked) {
@@ -937,37 +969,60 @@ TEST(WalScenario, FsyncCrashLeavesBatchDurableButUnacked) {
 }
 
 TEST(WalScenario, TruncateCrashReplaysTheCommittedReplan) {
-  const std::string dir = FreshWalDir("truncate_crash");
-  const Corpus base = BaseCorpus();
-  const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
-  StreamingOptions options = BaseStreaming(base);
-  options.batch_photos = 64;
-  StreamingArchiver archiver(options);
-  archiver.Initialize(base);
-  archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
-  Burst(archiver, 10, 1);
+  // Every verb that commits a replan: a flush of queued arrivals, an
+  // `update`, and a `set_budget` shrink.
+  struct Verb {
+    const char* name;
+    std::function<void(StreamingArchiver&)> run;
+  };
+  const std::vector<Verb> verbs = {
+      {"flush",
+       [](StreamingArchiver& archiver) {
+         Burst(archiver, 10, 1);
+         archiver.Flush();
+       }},
+      {"update",
+       [](StreamingArchiver& archiver) {
+         IngestOrUpdate(archiver, /*update=*/true, 10, 1);
+       }},
+      {"set_budget",
+       [](StreamingArchiver& archiver) {
+         archiver.SetBudget(archiver.budget() * 2 / 3);
+       }},
+  };
+  for (const Verb& verb : verbs) {
+    SCOPED_TRACE(verb.name);
+    const std::string dir = FreshWalDir("truncate_crash");
+    const Corpus base = BaseCorpus();
+    const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
+    StreamingOptions options = BaseStreaming(base);
+    options.batch_photos = 64;
+    StreamingArchiver archiver(options);
+    archiver.Initialize(base);
+    archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
 
-  // Crash at the start of the rotation: the kReplanCommit marker is already
-  // durable, the checkpoint swap never happened.
-  {
-    failpoint::ScopedFailpoint guard("wal.truncate", "crash");
-    EXPECT_THROW(archiver.Flush(), failpoint::InjectedCrash);
+    // Crash at the start of the rotation: the kReplanCommit marker is
+    // already durable, the checkpoint swap never happened.
+    {
+      failpoint::ScopedFailpoint guard("wal.truncate", "crash");
+      EXPECT_THROW(verb.run(archiver), failpoint::InjectedCrash);
+    }
+
+    StreamingArchiver reference(options);
+    reference.Initialize(base);
+    verb.run(reference);
+
+    std::unique_ptr<StreamingArchiver> recovered =
+        StreamingArchiver::RecoverFromWal(
+            std::make_unique<IngestWal>(dir, "s"), fingerprint);
+    EXPECT_EQ(recovered->pending_photos(), 0u);
+    EXPECT_EQ(recovered->budget(), reference.budget());
+    EXPECT_EQ(service::PlanToJson(recovered->plan()).Dump(1),
+              service::PlanToJson(reference.plan()).Dump(1))
+        << "replaying the commit marker must land on the committed plan";
+    recovered.reset();
+    std::filesystem::remove_all(dir);
   }
-
-  StreamingArchiver reference(options);
-  reference.Initialize(base);
-  Burst(reference, 10, 1);
-  reference.Flush();
-
-  std::unique_ptr<StreamingArchiver> recovered =
-      StreamingArchiver::RecoverFromWal(std::make_unique<IngestWal>(dir, "s"),
-                                        fingerprint);
-  EXPECT_EQ(recovered->pending_photos(), 0u);
-  EXPECT_EQ(service::PlanToJson(recovered->plan()).Dump(1),
-            service::PlanToJson(reference.plan()).Dump(1))
-      << "replaying the commit marker must land on the committed plan";
-  recovered.reset();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalScenario, PolicyChangeSurvivesRecovery) {
@@ -1058,6 +1113,59 @@ TEST(WalSession, ForeignWalIsQuarantinedAndTheSessionStartsFresh) {
   EXPECT_EQ(session->Ingest(5, 3, options, config, nullptr)
                 .outcome.pending_photos,
             10u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalSession, UpdateAfterAFailedRotationLosesNoAckedBatch) {
+  const std::string dir = FreshWalDir("session_update_rotation");
+  const Corpus base = BaseCorpus(60, 11);
+  ArchiveOptions options;
+  options.budget = base.TotalBytes() / 3;
+  service::Session::IngestConfig config;  // batch_photos 32: ingests queue
+
+  // The fault-free twin runs the same verbs without a WAL.
+  service::SessionManager twin_manager;
+  auto twin = twin_manager.Create(base);
+  twin->Ingest(5, 1, options, config, nullptr);
+  twin->IngestFlush();
+  twin->AddGeneratedPhotos(16, 2, options);
+  twin->Ingest(5, 3, options, config, nullptr);
+  const service::Session::IngestResult expected = twin->IngestFlush();
+  ASSERT_NE(expected.plan, nullptr);
+
+  {
+    service::SessionManager manager;
+    manager.set_wal_dir(dir);
+    auto session = manager.Create(base);
+    session->Ingest(5, 1, options, config, nullptr);
+    session->IngestFlush();
+    {
+      // The update's replan commits, but the checkpoint rotation after its
+      // commit marker fails: the client sees an error.
+      failpoint::ScopedFailpoint guard("wal.truncate", "error");
+      EXPECT_THROW(session->AddGeneratedPhotos(16, 2, options),
+                   failpoint::InjectedFault);
+    }
+    EXPECT_EQ(session->Describe().Get("num_photos").AsInt(), 81)
+        << "the session reports the corpus the streamer holds";
+    // Acked and queued behind the update's photos in the id space.
+    EXPECT_EQ(session->Ingest(5, 3, options, config, nullptr)
+                  .outcome.pending_photos,
+              5u);
+  }
+
+  // Restart: the recreated session replays the WAL on its first flush. The
+  // log must carry the update's photos, or the acked batch behind them
+  // references photos recovery never saw.
+  service::SessionManager restarted;
+  restarted.set_wal_dir(dir);
+  auto session = restarted.Create(base);
+  service::Session::IngestResult recovered;
+  ASSERT_NO_THROW(recovered = session->IngestFlush());
+  EXPECT_EQ(recovered.num_photos, 86u);
+  ASSERT_NE(recovered.plan, nullptr);
+  EXPECT_EQ(service::PlanToJson(*recovered.plan).Dump(1),
+            service::PlanToJson(*expected.plan).Dump(1));
   std::filesystem::remove_all(dir);
 }
 
