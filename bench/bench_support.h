@@ -150,12 +150,11 @@ template <typename Fn>
 double TimeStage(const std::string& stage, Fn&& fn) {
   telemetry::Histogram& hist = telemetry::MetricsRegistry::Current()
                                    .GetHistogram("bench." + stage + "_ns");
-  Stopwatch timer;
-  {
-    ScopedTimer<telemetry::Histogram> scoped(&hist);
-    fn();
-  }
-  return timer.ElapsedSeconds();
+  const Stopwatch timer;
+  fn();
+  const std::uint64_t nanos = timer.ElapsedNanos();
+  hist.Record(static_cast<double>(nanos));
+  return static_cast<double>(nanos) * 1e-9;
 }
 
 }  // namespace bench

@@ -309,7 +309,7 @@ class Repl {
   void Stats() {
     PHOCUS_CHECK(plan_.has_value(), "no plan yet; run 'solve' first");
     if (plan_->trace.duration_ns == 0 && plan_->trace.children.empty()) {
-      std::printf("no trace captured (telemetry compiled out or disabled)\n");
+      std::printf("no trace captured (telemetry disabled)\n");
       return;
     }
     std::printf("%s", telemetry::RenderSpanTree({plan_->trace}).c_str());

@@ -388,7 +388,6 @@ Json CoordinatorServer::MergedHealthz(const std::string& request_id) {
   self.Set("shards_reachable", reachable);
   result.Set("coordinator", std::move(self));
   Json tele = Json::Object();
-  tele.Set("compiled", telemetry::kCompiled);
   tele.Set("enabled", telemetry::Enabled());
   result.Set("telemetry", std::move(tele));
   return result;

@@ -56,8 +56,9 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
                                 const CelfOptions& options,
                                 ObjectiveEvaluator& evaluator,
                                 std::vector<PhotoId> already_selected) {
-  Stopwatch timer;
-  telemetry::TraceSpan span("solver.celf.pass");
+  auto& registry = telemetry::MetricsRegistry::Current();
+  telemetry::TraceSpan span("solver.celf.pass",
+                            &registry.GetHistogram("solver.celf.pass_ns"));
   span.SetAttribute("rule", rule == GreedyRule::kUnitCost ? "UC" : "CB");
   // Constructing the evaluator built the membership index; parallel probes
   // below depend on it (see the eager-build contract in instance.h).
@@ -179,17 +180,14 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
   result.score = evaluator.score();
   result.cost = evaluator.selected_cost();
   result.gain_evaluations = evaluator.gain_evaluations() - evals_at_entry;
-  result.seconds = timer.ElapsedSeconds();
+  result.seconds = span.ElapsedSeconds();
 
-  auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("solver.celf.lazy_hits").Add(lazy_hits);
   registry.GetCounter("solver.celf.lazy_misses").Add(lazy_misses);
   registry.GetCounter("solver.celf.heap_repushes").Add(lazy_misses);
   registry.GetCounter("solver.celf.gain_evals").Add(result.gain_evaluations);
   registry.GetCounter("solver.celf.selected")
       .Add(result.selected.size() - seed_size);
-  registry.GetHistogram("solver.celf.pass_ns")
-      .Record(static_cast<double>(timer.ElapsedNanos()));
   span.SetAttribute("selected",
                     static_cast<std::uint64_t>(result.selected.size()));
   span.SetAttribute("gain_evals",
@@ -199,8 +197,9 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
 }
 
 SolverResult CelfSolver::Solve(const ParInstance& instance) {
-  Stopwatch timer;
-  telemetry::TraceSpan span("solver.celf.solve");
+  auto& registry = telemetry::MetricsRegistry::Current();
+  telemetry::TraceSpan span("solver.celf.solve",
+                            &registry.GetHistogram("solver.celf.solve_ns"));
   span.SetAttribute("photos",
                     static_cast<std::uint64_t>(instance.num_photos()));
   // Eager-build before any concurrent probing (contract in instance.h):
@@ -230,12 +229,9 @@ SolverResult CelfSolver::Solve(const ParInstance& instance) {
   best.solver_name = name();
   best.detail = winning_rule_ == GreedyRule::kCostBenefit ? "CB" : "UC";
   best.gain_evaluations = uc.gain_evaluations + cb.gain_evaluations;
-  best.seconds = timer.ElapsedSeconds();
+  best.seconds = span.ElapsedSeconds();
 
-  auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("solver.celf.solves").Increment();
-  registry.GetHistogram("solver.celf.solve_ns")
-      .Record(static_cast<double>(timer.ElapsedNanos()));
   span.SetAttribute("winner", best.detail);
   span.SetAttribute("score", best.score);
   return best;

@@ -38,9 +38,7 @@ std::size_t EmbeddingPipeline::dimension() const {
 
 Embedding EmbeddingPipeline::Extract(const Image& image) const {
   PHOCUS_CHECK(!image.empty(), "cannot embed an empty image");
-  ScopedTimer<telemetry::Histogram> timer(
-      &telemetry::MetricsRegistry::Current().GetHistogram(
-          "embedding.extract_ns"));
+  const Stopwatch timer;
   Image working = image;
   if (image.width() != options_.working_size ||
       image.height() != options_.working_size) {
@@ -59,6 +57,9 @@ Embedding EmbeddingPipeline::Extract(const Image& image) const {
     embedding = projection_->Apply(embedding);
   }
   NormalizeInPlace(embedding);
+  telemetry::MetricsRegistry::Current()
+      .GetHistogram("embedding.extract_ns")
+      .Record(static_cast<double>(timer.ElapsedNanos()));
   return embedding;
 }
 

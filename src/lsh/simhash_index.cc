@@ -7,7 +7,6 @@
 #include "telemetry/trace.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace phocus {
@@ -88,7 +87,6 @@ void SimHashIndex::Add(const std::vector<Embedding>& vectors) {
 std::vector<SimilarPair> SimHashIndex::PairsAbove(
     const std::vector<Embedding>& vectors, double tau, PairSearchStats* stats,
     std::uint32_t min_second) const {
-  Stopwatch timer;
   telemetry::TraceSpan span("lsh.pairs_above");
   span.SetAttribute("bands", static_cast<std::uint64_t>(options_.bands));
   const std::size_t m = signatures_.size();
@@ -96,7 +94,7 @@ std::vector<SimilarPair> SimHashIndex::PairsAbove(
                "PairsAbove: vectors must match the indexed set");
   std::vector<SimilarPair> pairs;
   if (m < 2) {
-    if (stats != nullptr) *stats = {m, 0, 0, timer.ElapsedSeconds()};
+    if (stats != nullptr) *stats = {m, 0, 0, span.ElapsedSeconds()};
     return pairs;
   }
 
@@ -180,7 +178,7 @@ std::vector<SimilarPair> SimHashIndex::PairsAbove(
     stats->vectors = m;
     stats->candidate_pairs = candidates;
     stats->output_pairs = pairs.size();
-    stats->seconds = timer.ElapsedSeconds();
+    stats->seconds = span.ElapsedSeconds();
   }
   internal::ReportPairSearch(span, m, candidates, pairs.size());
   return pairs;

@@ -30,7 +30,6 @@ void ReportPairSearch(telemetry::TraceSpan& span, std::size_t vectors,
 
 std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau, PairSearchStats* stats) {
-  Stopwatch timer;
   telemetry::TraceSpan span("lsh.all_pairs");
   std::vector<SimilarPair> pairs;
   const std::size_t m = vectors.size();
@@ -68,7 +67,7 @@ std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
     stats->vectors = m;
     stats->candidate_pairs = candidates;
     stats->output_pairs = pairs.size();
-    stats->seconds = timer.ElapsedSeconds();
+    stats->seconds = span.ElapsedSeconds();
   }
   internal::ReportPairSearch(span, m, candidates, pairs.size());
   return pairs;
@@ -117,12 +116,11 @@ std::vector<SimilarPair> LshPairsAbove(const std::vector<Embedding>& vectors,
 std::vector<SimilarPair> LshPairsAboveSerial(
     const std::vector<Embedding>& vectors, double tau,
     const LshPairFinderOptions& options, PairSearchStats* stats) {
-  Stopwatch timer;
   telemetry::TraceSpan span("lsh.pairs_above");
   std::vector<SimilarPair> pairs;
   const std::size_t m = vectors.size();
   if (m < 2) {
-    if (stats != nullptr) *stats = {m, 0, 0, timer.ElapsedSeconds()};
+    if (stats != nullptr) *stats = {m, 0, 0, span.ElapsedSeconds()};
     return pairs;
   }
   span.SetAttribute("bands", static_cast<std::uint64_t>(options.bands));
@@ -189,7 +187,7 @@ std::vector<SimilarPair> LshPairsAboveSerial(
     stats->vectors = m;
     stats->candidate_pairs = candidates;
     stats->output_pairs = pairs.size();
-    stats->seconds = timer.ElapsedSeconds();
+    stats->seconds = span.ElapsedSeconds();
   }
   internal::ReportPairSearch(span, m, candidates, pairs.size());
   return pairs;

@@ -46,7 +46,7 @@ std::vector<CorpusPhoto> IngestPhotos(const std::vector<Image>& images,
   const EmbeddingPipeline pipeline(options.pipeline);
   std::vector<CorpusPhoto> photos(images.size());
   ThreadPool::Global().ParallelFor(images.size(), [&](std::size_t i) {
-    ScopedTimer<telemetry::Histogram> photo_timer(&photo_hist);
+    const Stopwatch photo_timer;
     CorpusPhoto& photo = photos[i];
     photo.embedding = pipeline.Extract(images[i]);
     photo.quality = AssessQuality(images[i]).overall;
@@ -56,6 +56,7 @@ std::vector<CorpusPhoto> IngestPhotos(const std::vector<Image>& images,
     PHOCUS_CHECK(photo.bytes > 0, "photo byte size must be positive");
     photo.exif = exif[i];
     photo.title = titles[i];
+    photo_hist.Record(static_cast<double>(photo_timer.ElapsedNanos()));
   });
   PHOCUS_LOG(kDebug) << "ingest: extracted embeddings for " << photos.size()
                      << " photos";

@@ -6,7 +6,6 @@
 #include "core/objective.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace phocus {
@@ -34,10 +33,9 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
   root.SetAttribute("photos", static_cast<std::uint64_t>(corpus_.photos.size()));
   root.SetAttribute("budget", static_cast<std::uint64_t>(options.budget));
 
-  Stopwatch build_timer;
   const ParInstance instance = [&] {
-    telemetry::TraceSpan stage("system.stage.representation");
-    ScopedTimer<telemetry::Histogram> stage_timer(
+    telemetry::TraceSpan stage(
+        "system.stage.representation",
         &registry.GetHistogram("system.stage.representation_ns"));
     ParInstance built =
         BuildInstance(corpus_, options.budget, options.representation);
@@ -46,19 +44,17 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
     // and must find the index already constructed (contract in instance.h).
     built.BuildMembershipIndex();
     stage.SetAttribute("subsets", static_cast<std::uint64_t>(built.num_subsets()));
+    plan.build_seconds = stage.ElapsedSeconds();
     return built;
   }();
-  plan.build_seconds = build_timer.ElapsedSeconds();
 
-  Stopwatch solve_timer;
   {
-    telemetry::TraceSpan stage("system.stage.solve");
+    telemetry::TraceSpan stage("system.stage.solve",
+                               &registry.GetHistogram("system.stage.solve_ns"));
     stage.SetAttribute("solver", solver.name());
-    ScopedTimer<telemetry::Histogram> stage_timer(
-        &registry.GetHistogram("system.stage.solve_ns"));
     plan.solver_result = solver.Solve(instance);
+    plan.solve_seconds = stage.ElapsedSeconds();
   }
-  plan.solve_seconds = solve_timer.ElapsedSeconds();
   CheckFeasible(instance, plan.solver_result);
 
   plan.retained = plan.solver_result.selected;
@@ -78,8 +74,8 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
   plan.score_fraction = plan.max_score > 0.0 ? plan.score / plan.max_score : 1.0;
 
   if (options.compute_online_bound) {
-    telemetry::TraceSpan stage("system.stage.online_bound");
-    ScopedTimer<telemetry::Histogram> stage_timer(
+    telemetry::TraceSpan stage(
+        "system.stage.online_bound",
         &registry.GetHistogram("system.stage.online_bound_ns"));
     plan.online_bound = ComputeOnlineBound(instance, plan.solver_result.selected);
     stage.SetAttribute("certified_ratio", plan.online_bound.certified_ratio);
@@ -87,8 +83,8 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
 
   // Per-subset coverage report, most important subsets first.
   {
-    telemetry::TraceSpan coverage_stage("system.stage.coverage");
-    ScopedTimer<telemetry::Histogram> coverage_timer(
+    telemetry::TraceSpan coverage_stage(
+        "system.stage.coverage",
         &registry.GetHistogram("system.stage.coverage_ns"));
     ObjectiveEvaluator evaluator(&instance);
     for (PhotoId p : plan.solver_result.selected) evaluator.Add(p);

@@ -64,7 +64,7 @@ struct ArchivePlan {
   std::vector<SubsetCoverage> subset_coverage;
   /// Span tree for this run ("system.plan_archive" with one child per
   /// Figure-4 stage). Empty (duration 0, no children) when telemetry is
-  /// compiled out or disabled; render with telemetry::RenderSpanTree.
+  /// disabled; render with telemetry::RenderSpanTree.
   telemetry::SpanRecord trace;
 };
 

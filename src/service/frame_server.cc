@@ -76,7 +76,8 @@ void FrameServer::AcceptLoop() {
   while (true) {
     Socket socket = listener_->Accept();
     if (!socket.valid()) break;  // listener shut down
-    if (draining_.load()) continue;  // drop: the socket closes on scope exit
+    // A connection accepted mid-drain is still served, so its request gets
+    // an answer (shutting_down) instead of a reset.
     options_.connections->Increment();
     std::lock_guard<std::mutex> lock(connections_mutex_);
     // Reap connections whose threads already finished.
@@ -112,11 +113,10 @@ void FrameServer::ServeConnection(Connection* connection) {
         break;
       }
       if (status == FrameDecoder::Status::kNeedMore) {
-        // Drain closes the connection only here, between requests: frames
-        // already buffered still get answers (a pipelined healthz observes
-        // the "draining" status deterministically), but we never block for
-        // new bytes once shutdown has begun.
-        if (draining_.load()) break;
+        // Reading continues through a drain: every request that arrives is
+        // answered (the handler rejects data-plane work with shutting_down),
+        // so a client that connected around the drain never sees a reset.
+        // FinishShutdown unblocks this read once the connection is idle.
         chunk.clear();
         if (!connection->socket.RecvSome(&chunk)) break;  // clean EOF
         options_.bytes_in->Add(chunk.size());

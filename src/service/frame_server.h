@@ -34,6 +34,8 @@
 ///    event + crash dump), never the daemon,
 ///  - graceful shutdown: RequestShutdown() starts the drain, Wait() returns
 ///    once every in-flight response is written and all threads are joined.
+///    Until Wait() closes the listener, connections accepted mid-drain are
+///    served like any other.
 
 namespace phocus {
 namespace service {
@@ -92,8 +94,9 @@ class FrameServer {
   /// The bound port (valid after Start).
   int port() const { return port_; }
 
-  /// Begins the drain: new connections are dropped and idle ones closed;
-  /// requests already read are still answered. Non-blocking.
+  /// Begins the drain: connections stay open and every request is still
+  /// answered (the handler sees draining()); Wait() closes the listener and
+  /// the idle connections. Non-blocking.
   void RequestShutdown();
   /// Blocks until a shutdown was requested and has fully drained.
   void Wait();

@@ -14,7 +14,6 @@
 #include "telemetry/metrics.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace phocus {
@@ -311,21 +310,18 @@ Json ServiceServer::ProcessParsed(const Request& request,
   const double deadline_ms =
       params.GetOr("deadline_ms", Json(options_.default_deadline_ms))
           .AsDouble();
-  const auto enqueue_time = std::chrono::steady_clock::now();
+  const std::uint64_t enqueue_ns = telemetry::TraceNowNs();
 
   std::promise<Json> promise;
   std::future<Json> future = promise.get_future();
   pool_->Submit([this, &registry, &promise, &params, &endpoint, &request_id,
-                 observation, id, deadline_ms, enqueue_time] {
+                 observation, id, deadline_ms, enqueue_ns] {
     Json response;
     // Delay-only (an exception here would escape the pool task before
     // promise.set_value and wedge the caller): stretches the apparent
     // queue wait so tests can force deadline expiry deterministically.
     PHOCUS_FAILPOINT_DELAY_ONLY("server.queue_wait");
-    const std::uint64_t waited_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - enqueue_time)
-            .count());
+    const std::uint64_t waited_ns = telemetry::TraceNowNs() - enqueue_ns;
     const double waited_ms = static_cast<double>(waited_ns) / 1e6;
     registry.GetHistogram("service.queue_wait_ns")
         .Record(static_cast<double>(waited_ns));
@@ -337,12 +333,18 @@ Json ServiceServer::ProcessParsed(const Request& request,
     telemetry::TraceCollector request_trace;
     {
       telemetry::ScopedTraceSink sink(&request_trace);
-      telemetry::TraceSpan request_span("service.request");
+      // Only handled requests count toward the endpoint's latency histogram.
+      const bool expired = deadline_ms > 0.0 && waited_ms > deadline_ms;
+      telemetry::TraceSpan request_span(
+          "service.request",
+          expired ? nullptr
+                  : &registry.GetHistogram("service.endpoint." + endpoint +
+                                           "_ns"));
       request_span.SetAttribute("endpoint", endpoint);
       if (!request_id.empty()) {
         request_span.SetAttribute("request_id", request_id);
       }
-      if (deadline_ms > 0.0 && waited_ms > deadline_ms) {
+      if (expired) {
         registry.GetCounter("service.rejected.deadline_exceeded").Increment();
         request_span.SetAttribute("deadline_expired", "true");
         response = MakeErrorResponse(
@@ -350,7 +352,6 @@ Json ServiceServer::ProcessParsed(const Request& request,
             StrFormat("request waited %.1fms past its %.1fms deadline",
                       waited_ms - deadline_ms, deadline_ms));
       } else {
-        Stopwatch timer;
         try {
           response = MakeOkResponse(id, Handle(endpoint, params));
           registry.GetCounter("service.responses.ok").Increment();
@@ -374,9 +375,7 @@ Json ServiceServer::ProcessParsed(const Request& request,
         } catch (const std::exception& error) {
           response = MakeErrorResponse(id, ErrorCode::kInternal, error.what());
         }
-        observation->handle_ms = timer.ElapsedMillis();
-        registry.GetHistogram("service.endpoint." + endpoint + "_ns")
-            .Record(static_cast<double>(timer.ElapsedNanos()));
+        observation->handle_ms = request_span.ElapsedSeconds() * 1e3;
       }
     }
     std::vector<telemetry::SpanRecord> roots = request_trace.Drain();
@@ -386,10 +385,8 @@ Json ServiceServer::ProcessParsed(const Request& request,
       // first child on the same timeline as the real spans.
       telemetry::SpanRecord wait;
       wait.name = "service.request.admission_wait";
+      wait.start_ns = enqueue_ns;
       wait.duration_ns = waited_ns;
-      wait.start_ns = observation->tree.start_ns > waited_ns
-                          ? observation->tree.start_ns - waited_ns
-                          : 0;
       observation->tree.children.insert(observation->tree.children.begin(),
                                         std::move(wait));
       observation->traced = true;
@@ -651,7 +648,6 @@ Json ServiceServer::HandleHealthz() {
   result.Set("admission_saturation", saturation);
   result.Set("sessions", sessions_.size());
   Json tele = Json::Object();
-  tele.Set("compiled", telemetry::kCompiled);
   tele.Set("enabled", telemetry::Enabled());
   result.Set("telemetry", std::move(tele));
   return result;

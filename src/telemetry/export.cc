@@ -174,7 +174,6 @@ Json TelemetryToJson(const MetricsSnapshot& snapshot,
                      std::uint64_t dropped_spans) {
   Json out = Json::Object();
   Json meta = Json::Object();
-  meta.Set("compiled", kCompiled);
   meta.Set("enabled", Enabled());
   out.Set("telemetry", std::move(meta));
   const Json metrics = MetricsToJson(snapshot);
@@ -278,11 +277,6 @@ void WriteTelemetryJson(const std::string& path) {
                                     TraceCollector::Global().Snapshot(),
                                     TraceCollector::Global().dropped());
   WriteFile(path, json.Dump(2) + "\n");
-}
-
-void WriteTelemetryCsv(const std::string& path) {
-  WriteFile(path,
-            MetricsToTable(MetricsRegistry::Current().Snapshot()).RenderCsv());
 }
 
 }  // namespace telemetry

@@ -10,7 +10,7 @@
 #include "util/table.h"
 
 /// \file export.h
-/// Telemetry exporters: JSON and CSV snapshot dumps plus a human-readable
+/// Telemetry exporters: JSON snapshot dumps plus a human-readable
 /// flame-style span summary. Formats are documented in
 /// docs/OBSERVABILITY.md.
 
@@ -69,9 +69,8 @@ std::string RenderSpanTree(const std::vector<SpanRecord>& spans);
 std::string HumanDuration(double nanos);
 
 /// Snapshots MetricsRegistry::Current() plus the global TraceCollector and
-/// writes them to `path` (JSON / CSV). Throws CheckFailure on I/O failure.
+/// writes them to `path` as JSON. Throws CheckFailure on I/O failure.
 void WriteTelemetryJson(const std::string& path);
-void WriteTelemetryCsv(const std::string& path);
 
 }  // namespace telemetry
 }  // namespace phocus

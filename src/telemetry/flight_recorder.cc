@@ -111,30 +111,20 @@ void FatalSignalWithDump(int signal_number) {
 
 void FlightRecorder::Record(const char* name, const char* detail,
                             std::uint64_t arg0, std::uint64_t arg1) {
-  if constexpr (!kCompiled) {
-    (void)name;
-    (void)detail;
-    (void)arg0;
-    (void)arg1;
-    return;
-  } else {
-    const std::uint64_t time_ns = NowNs();
-    const std::uint64_t seq =
-        g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    Ring* ring = ThisThreadRing();
-    Slot& slot =
-        ring->slots[ring->next.fetch_add(1, std::memory_order_relaxed) &
-                    (kRingCapacity - 1)];
-    // Mark the slot as in-flight, fill it, then publish the new seq; a
-    // snapshot racing this sees seq 0 (skip) or the consistent new value.
-    slot.seq.store(0, std::memory_order_release);
-    slot.time_ns.store(time_ns, std::memory_order_relaxed);
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.detail.store(detail, std::memory_order_relaxed);
-    slot.arg0.store(arg0, std::memory_order_relaxed);
-    slot.arg1.store(arg1, std::memory_order_relaxed);
-    slot.seq.store(seq, std::memory_order_release);
-  }
+  const std::uint64_t time_ns = NowNs();
+  const std::uint64_t seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+  Ring* ring = ThisThreadRing();
+  Slot& slot = ring->slots[ring->next.fetch_add(1, std::memory_order_relaxed) &
+                           (kRingCapacity - 1)];
+  // Mark the slot as in-flight, fill it, then publish the new seq; a
+  // snapshot racing this sees seq 0 (skip) or the consistent new value.
+  slot.seq.store(0, std::memory_order_release);
+  slot.time_ns.store(time_ns, std::memory_order_relaxed);
+  slot.name.store(name, std::memory_order_relaxed);
+  slot.detail.store(detail, std::memory_order_relaxed);
+  slot.arg0.store(arg0, std::memory_order_relaxed);
+  slot.arg1.store(arg1, std::memory_order_relaxed);
+  slot.seq.store(seq, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() {

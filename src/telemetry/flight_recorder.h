@@ -33,10 +33,7 @@
 /// Event names and details must be string literals (or otherwise have static
 /// storage duration): slots store raw `const char*`. Dynamic names go
 /// through InternedName(), which copies into a leaked intern table.
-///
-/// When telemetry is compiled out (PHOCUS_TELEMETRY=OFF) Record() is a
-/// no-op and dumps degrade to empty event lists; the wire verbs and crash
-/// handler still answer. Format: docs/OBSERVABILITY.md.
+/// Format: docs/OBSERVABILITY.md.
 
 namespace phocus {
 namespace telemetry {

@@ -19,13 +19,9 @@
 /// (GetCounter etc.) takes a mutex, so instrumented loops should resolve
 /// their metrics once up front (or accumulate locally and flush once).
 ///
-/// Two switches control recording:
-///  - compile time: the PHOCUS_TELEMETRY CMake option defines
-///    PHOCUS_TELEMETRY_ENABLED; when 0 every recorder is an inline no-op and
-///    the optimizer erases the instrumentation entirely,
-///  - run time: SetEnabled(false) gates spans and histograms (counters and
-///    gauges stay on — a relaxed add is cheaper than hiding it behind the
-///    branch would be worth).
+/// One switch controls recording: SetEnabled(false) gates spans and
+/// histograms at run time (counters and gauges stay on — a relaxed add is
+/// cheaper than hiding it behind the branch would be worth).
 ///
 /// Instrumented code reports into MetricsRegistry::Current(), which is the
 /// process-global default registry unless a ScopedMetricsRegistry injects a
@@ -36,15 +32,12 @@
 /// `solver.celf.lazy_hits`, `system.stage.solve_ns`. See
 /// docs/OBSERVABILITY.md.
 
-#ifndef PHOCUS_TELEMETRY_ENABLED
-#define PHOCUS_TELEMETRY_ENABLED 1
-#endif
-
 namespace phocus {
 namespace telemetry {
 
-/// True when the recorders were compiled in (PHOCUS_TELEMETRY=ON).
-inline constexpr bool kCompiled = PHOCUS_TELEMETRY_ENABLED != 0;
+/// Always true: recorders are always compiled in. Kept only because the
+/// phocus_bench report still echoes it as `telemetry_compiled`.
+inline constexpr bool kCompiled = true;
 
 namespace internal {
 extern std::atomic<bool> g_enabled;
@@ -53,19 +46,13 @@ extern std::atomic<bool> g_enabled;
 /// Runtime gate for spans and histogram recording. Defaults to enabled.
 void SetEnabled(bool enabled);
 inline bool Enabled() {
-  return kCompiled && internal::g_enabled.load(std::memory_order_relaxed);
+  return internal::g_enabled.load(std::memory_order_relaxed);
 }
 
 /// Monotonically increasing event count. All operations are thread-safe.
 class Counter {
  public:
-  void Add(std::uint64_t n) {
-    if constexpr (kCompiled) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
-  }
+  void Add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void Increment() { Add(1); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -77,13 +64,7 @@ class Counter {
 /// Last-write-wins instantaneous value (queue depths, config echoes).
 class Gauge {
  public:
-  void Set(double value) {
-    if constexpr (kCompiled) {
-      value_.store(value, std::memory_order_relaxed);
-    } else {
-      (void)value;
-    }
-  }
+  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
@@ -103,11 +84,7 @@ class Histogram {
   static constexpr int kNumBuckets = 64 * kBucketsPerDoubling;
 
   void Record(double value) {
-    if constexpr (kCompiled) {
-      if (Enabled()) RecordImpl(value);
-    } else {
-      (void)value;
-    }
+    if (Enabled()) RecordImpl(value);
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }

@@ -39,18 +39,27 @@ std::size_t SpanRecord::TotalSpans() const {
   return total;
 }
 
-TraceSpan::TraceSpan(std::string name) {
+TraceSpan::TraceSpan(std::string name, Histogram* histogram)
+    : histogram_(histogram) {
+  Epoch();  // latch the epoch before reading the clock: start_ >= epoch
+  start_ = Clock::now();
   if (!Enabled()) return;
   record_ = std::make_unique<SpanRecord>();
   record_->name = std::move(name);
-  Epoch();  // latch the epoch before reading the clock: start_ >= epoch
-  start_ = Clock::now();
   record_->start_ns = SinceEpochNs(start_);
   t_open_spans.push_back(record_.get());
 }
 
 TraceSpan::~TraceSpan() {
-  if (record_ != nullptr) Finish(nullptr);
+  if (open_) Finish(nullptr);
+}
+
+std::uint64_t TraceSpan::ElapsedNanos() const {
+  if (!open_) return duration_ns_;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start_)
+          .count());
 }
 
 void TraceSpan::SetAttribute(const std::string& key, std::string value) {
@@ -72,12 +81,18 @@ void TraceSpan::SetAttribute(const std::string& key, std::uint64_t value) {
 
 SpanRecord TraceSpan::Close() {
   SpanRecord out;
-  if (record_ != nullptr) Finish(&out);
+  if (open_) Finish(&out);
   return out;
 }
 
 void TraceSpan::Finish(SpanRecord* out) {
-  record_->duration_ns = SinceEpochNs(Clock::now()) - record_->start_ns;
+  duration_ns_ = ElapsedNanos();
+  open_ = false;
+  if (histogram_ != nullptr) {
+    histogram_->Record(static_cast<double>(duration_ns_));
+  }
+  if (record_ == nullptr) return;
+  record_->duration_ns = duration_ns_;
   // Pop this span off the thread's open stack. Scoped usage makes it the
   // top; tolerate (skip the pop of) out-of-order teardown rather than UB.
   if (!t_open_spans.empty() && t_open_spans.back() == record_.get()) {

@@ -21,9 +21,11 @@
 /// TraceCollector. ThreadPool tasks therefore produce their own roots, and
 /// the collector is the merge point across workers.
 ///
-/// When telemetry is compiled out (PHOCUS_TELEMETRY=OFF) or disabled at
-/// runtime, constructing a TraceSpan is a no-op. SpanRecord itself is always
-/// a real type so exporters and ArchivePlan compile unchanged.
+/// A span is also the timer for its interval: it always reads the clock, so
+/// ElapsedNanos() is valid whether or not telemetry is enabled, and it can
+/// own the `_ns` histogram that receives its duration when it closes. When
+/// telemetry is disabled at runtime, a span allocates no record and
+/// deposits nothing, and its histogram's Record() is a no-op.
 
 namespace phocus {
 namespace telemetry {
@@ -45,7 +47,9 @@ struct SpanRecord {
 /// LIFO order — the natural shape of scoped usage.
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string name);
+  /// `histogram`, when non-null, receives the span's duration in
+  /// nanoseconds when it closes.
+  explicit TraceSpan(std::string name, Histogram* histogram = nullptr);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -59,17 +63,27 @@ class TraceSpan {
   /// Ends the span now and returns the finished record. The record is still
   /// attached to its parent (or deposited into the global collector when the
   /// span is a root), so callers get a copy to expose — e.g. on ArchivePlan —
-  /// without removing it from the trace. No-op spans return an empty record.
+  /// without removing it from the trace. Disabled spans return an empty
+  /// record.
   SpanRecord Close();
 
-  /// False when telemetry is compiled out or disabled at runtime.
+  /// Time since the span opened; once closed, its final duration.
+  std::uint64_t ElapsedNanos() const;
+  double ElapsedSeconds() const {
+    return static_cast<double>(ElapsedNanos()) * 1e-9;
+  }
+
+  /// False when telemetry was disabled at runtime when the span opened.
   bool active() const { return record_ != nullptr; }
 
  private:
   void Finish(SpanRecord* out);
 
   std::unique_ptr<SpanRecord> record_;
+  Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
+  std::uint64_t duration_ns_ = 0;
+  bool open_ = true;
 };
 
 /// Process-global sink for finished root spans (bounded; excess roots are

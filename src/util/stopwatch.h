@@ -5,8 +5,9 @@
 #include <cstdint>
 
 /// \file stopwatch.h
-/// Wall-clock stopwatch used by benches and the solver's time reports, plus
-/// a scoped timer that reports into a telemetry histogram on destruction.
+/// Wall-clock stopwatch for intervals that have no trace span: benches,
+/// per-item pool tasks, and solvers' time reports. Code that opens a
+/// telemetry::TraceSpan reads the time off the span instead.
 
 namespace phocus {
 
@@ -15,16 +16,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last Reset().
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
   /// Elapsed nanoseconds (full clock resolution, for latency histograms).
   std::uint64_t ElapsedNanos() const {
@@ -37,30 +32,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// RAII timer: on destruction, records the elapsed nanoseconds into a
-/// histogram-like sink exposing `Record(double)` — in practice a
-/// `telemetry::Histogram`. Templated on the sink so util stays below
-/// phocus_telemetry in the dependency DAG. A null sink disables reporting.
-template <typename SinkT>
-class ScopedTimer {
- public:
-  explicit ScopedTimer(SinkT* sink) : sink_(sink) {}
-  ~ScopedTimer() {
-    if (sink_ != nullptr) {
-      sink_->Record(static_cast<double>(stopwatch_.ElapsedNanos()));
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Mid-scope reads (e.g. elapsed seconds for a report row).
-  const Stopwatch& stopwatch() const { return stopwatch_; }
-
- private:
-  SinkT* sink_;
-  Stopwatch stopwatch_;
 };
 
 }  // namespace phocus

@@ -460,11 +460,8 @@ TEST_F(CoordinatorLoopbackTest, RoutesSessionsAndScopesIds) {
   // traffic. The accounting follows the write, so a second round trip on
   // the same connection orders it before the read below.
   EXPECT_TRUE(client.Ping());
-  if (telemetry::kCompiled) {
-    for (std::size_t i = 0; i < before.size(); ++i) {
-      EXPECT_GT(MetricValue(kSocketMetrics[i]), before[i])
-          << kSocketMetrics[i];
-    }
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_GT(MetricValue(kSocketMetrics[i]), before[i]) << kSocketMetrics[i];
   }
 }
 
@@ -569,13 +566,11 @@ TEST_F(CoordinatorLoopbackTest, FanOutMergesHealthStatsAndMetrics) {
     EXPECT_NE(coordinator_->pool().IndexOf(record.Get("shard").AsString()),
               ShardPool::npos);
   }
-  if (telemetry::kCompiled) {
-    // Shard-side counters surface in the merged snapshot alongside the
-    // coordinator's own family.
-    const Json counters = metrics.Get("metrics").Get("counters");
-    EXPECT_GT(counters.GetOr("service.requests", 0.0).AsDouble(), 0.0);
-    EXPECT_GT(counters.GetOr("coordinator.requests", 0.0).AsDouble(), 0.0);
-  }
+  // Shard-side counters surface in the merged snapshot alongside the
+  // coordinator's own family.
+  const Json counters = metrics.Get("metrics").Get("counters");
+  EXPECT_GT(counters.GetOr("service.requests", 0.0).AsDouble(), 0.0);
+  EXPECT_GT(counters.GetOr("coordinator.requests", 0.0).AsDouble(), 0.0);
 }
 
 TEST_F(CoordinatorLoopbackTest, DrainingShardRollsUpAsWorstStatus) {

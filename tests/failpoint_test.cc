@@ -158,7 +158,6 @@ TEST_F(FailpointTest, ArmedNamesListsActivePointsSorted) {
   EXPECT_EQ(ArmedNames(), std::vector<std::string>{"test.list_a"});
 }
 
-#if PHOCUS_TELEMETRY_ENABLED
 TEST_F(FailpointTest, CountersMirrorIntoTheMetricsRegistry) {
   telemetry::MetricsRegistry local;
   telemetry::ScopedMetricsRegistry scope(&local);
@@ -167,7 +166,6 @@ TEST_F(FailpointTest, CountersMirrorIntoTheMetricsRegistry) {
   EXPECT_EQ(local.GetCounter("failpoint.test.mirror.hits").value(), 3u);
   EXPECT_EQ(local.GetCounter("failpoint.test.mirror.triggers").value(), 0u);
 }
-#endif
 
 }  // namespace
 }  // namespace failpoint

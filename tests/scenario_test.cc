@@ -317,15 +317,22 @@ TEST_F(ServiceScenarioTest, DrainCompletesUnderInjectedDelayAndFaults) {
   failpoint::Configure("server.drain", "delay:30");
   client.Shutdown();
 
-  // While draining, fresh connections are accepted and dropped; even the
-  // retrying client must conclude the server is gone, not hang.
+  // While draining, fresh connections are still answered, never reset:
+  // control-plane verbs work and data-plane work is refused with the typed
+  // shutting_down, which the retrying client reports at once (not
+  // retryable) instead of hanging.
   FakeClock clock;
   service::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.sleep_fn = clock.Sleeper();
   service::ServiceClient late = Connect();
-  EXPECT_THROW(late.CallIdempotent("ping", Json::Object(), policy),
-               CheckFailure);
+  EXPECT_NO_THROW(late.CallIdempotent("ping", Json::Object(), policy));
+  try {
+    late.CallIdempotent("stats", Json::Object(), policy);
+    ADD_FAILURE() << "expected shutting_down";
+  } catch (const service::ServiceError& error) {
+    EXPECT_EQ(error.code(), service::ErrorCode::kShuttingDown);
+  }
 
   server_->Wait();  // must return despite the injected drain delay
   EXPECT_GE(failpoint::TriggerCount("server.drain"), 1u);
