@@ -85,8 +85,8 @@ void SimHashIndex::Add(const std::vector<Embedding>& vectors) {
 }
 
 std::vector<SimilarPair> SimHashIndex::PairsAbove(
-    const std::vector<Embedding>& vectors, double tau, PairSearchStats* stats,
-    std::uint32_t min_second) const {
+    const std::vector<Embedding>& vectors, double tau,
+    PairSearchStats* stats) const {
   telemetry::TraceSpan span("lsh.pairs_above");
   span.SetAttribute("bands", static_cast<std::uint64_t>(options_.bands));
   const std::size_t m = signatures_.size();
@@ -130,18 +130,7 @@ std::vector<SimilarPair> SimHashIndex::PairsAbove(
       for (const auto& [key, bucket] : table) {
         (void)key;
         if (bucket.size() < 2) continue;
-        if (bucket.back() < min_second) continue;  // all-old bucket
-        // b indexes the larger member of each pair; start it at the first
-        // id >= min_second (ids are ascending) so an incremental probe
-        // never revisits old-old pairs.
-        std::size_t b = 1;
-        if (min_second > 0) {
-          b = static_cast<std::size_t>(
-              std::lower_bound(bucket.begin(), bucket.end(), min_second) -
-              bucket.begin());
-          if (b == 0) b = 1;
-        }
-        for (; b < bucket.size(); ++b) {
+        for (std::size_t b = 1; b < bucket.size(); ++b) {
           const std::uint32_t j = bucket[b];
           for (std::size_t a = 0; a < b; ++a) {
             const std::uint32_t i = bucket[a];

@@ -11,8 +11,7 @@
 
 /// \file simhash_index.h
 /// A persistent, incrementally extensible SimHash banding index — the
-/// parallel engine behind `LshPairsAbove` and the signature-reuse path of
-/// the incremental archiver.
+/// parallel engine behind `LshPairsAbove`.
 ///
 /// The index retains one packed signature per vector plus, for every band,
 /// a hash table from band key to the (ascending) list of vector ids that
@@ -45,18 +44,13 @@ class SimHashIndex {
 
   /// All τ-similar pairs among the indexed vectors. `vectors` must be the
   /// full indexed set (signatures prune candidates; verification needs the
-  /// exact embeddings). With `min_second > 0` only pairs whose *larger* id
-  /// is >= `min_second` are returned — the incremental probe: after
-  /// extending an index of n old vectors, `PairsAbove(v, tau, s, n)` yields
-  /// exactly the pairs involving at least one new vector, so
-  /// old pairs ∪ probe pairs equals a from-scratch search.
+  /// exact embeddings).
   ///
   /// `stats->seconds` covers this call only (not Add); all other stat
   /// fields are deterministic across thread and shard counts.
   std::vector<SimilarPair> PairsAbove(const std::vector<Embedding>& vectors,
                                       double tau,
-                                      PairSearchStats* stats = nullptr,
-                                      std::uint32_t min_second = 0) const;
+                                      PairSearchStats* stats = nullptr) const;
 
   std::size_t size() const { return signatures_.size(); }
   std::size_t dimension() const { return hasher_.dimension(); }

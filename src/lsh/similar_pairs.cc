@@ -34,6 +34,12 @@ std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
   std::vector<SimilarPair> pairs;
   const std::size_t m = vectors.size();
   if (m >= 2) {
+    // Each norm once per call rather than twice per pair, with
+    // CosineSimilarity's expression and zero-norm rule (a product of float
+    // norms is zero only when one of them is), so every similarity keeps
+    // its bits.
+    std::vector<double> norms(m);
+    for (std::size_t i = 0; i < m; ++i) norms[i] = Norm(vectors[i]);
     // Tiled upper-triangle sweep: each tile owns a contiguous row range and
     // appends to its own vector; concatenating tiles in order reproduces
     // the serial (i asc, j asc) output exactly. Several tiles per worker
@@ -49,7 +55,10 @@ std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
       std::vector<SimilarPair>& out = tile_pairs[tile];
       for (std::size_t i = row_begin; i < row_end; ++i) {
         for (std::size_t j = i + 1; j < m; ++j) {
-          const double sim = CosineSimilarity(vectors[i], vectors[j]);
+          const double norms_product = norms[i] * norms[j];
+          const double sim = norms_product == 0.0
+                                 ? 0.0
+                                 : Dot(vectors[i], vectors[j]) / norms_product;
           if (sim >= tau) {
             out.push_back({static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(j),

@@ -42,10 +42,11 @@ struct PairSearchStats {
   double seconds = 0.0;
 };
 
-/// Exhaustive O(m²) baseline: every pair with cosine >= tau. The upper
-/// triangle is swept in parallel row tiles whose outputs concatenate in
-/// tile order, so the result is identical to the serial (i asc, j asc)
-/// sweep for any thread count.
+/// Exhaustive O(m²) sweep (BuildInstance's large-subset search and the §4.3
+/// baseline): every pair with CosineSimilarity >= tau, bit for bit, with
+/// each norm computed once per call. Parallel row tiles concatenate in tile
+/// order, so the result is the serial (i asc, j asc) sweep's for any thread
+/// count.
 std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau,
                                        PairSearchStats* stats = nullptr);

@@ -73,7 +73,7 @@ const ArchivePlan& IncrementalArchiver::InitializeFromRetained(
                "deferred photo count exceeds the corpus");
   const ParInstance instance =
       BuildInstance(corpus_, options_.archive.budget,
-                    options_.archive.representation, &lsh_cache_);
+                    options_.archive.representation);
   instance.Validate();
   SolverResult result;
   result.solver_name = "PHOcus-incremental";
@@ -127,13 +127,7 @@ const ArchivePlan& IncrementalArchiver::ReplanAfter(
   } catch (...) {
     // Keep the archiver consistent: a failed replan (infeasible budget,
     // injected fault) must not leave appended photos in a corpus whose
-    // active plan has never seen them, nor a budget no plan satisfies. The
-    // LSH cache goes with any append — its entries for the rolled-back
-    // subsets would otherwise be trusted if a later append happens to reuse
-    // the same member id lists over different photos.
-    if (corpus_.photos.size() != photos || corpus_.subsets.size() != subsets) {
-      lsh_cache_.Clear();
-    }
+    // active plan has never seen them, nor a budget no plan satisfies.
     corpus_.photos.resize(photos);
     corpus_.subsets.resize(subsets);
     corpus_.required = std::move(required);
@@ -189,7 +183,7 @@ DriftEstimate IncrementalArchiver::EstimateDrift() {
   PHOCUS_CHECK(initialized_, "EstimateDrift before Initialize");
   const ParInstance instance =
       BuildInstance(corpus_, options_.archive.budget,
-                    options_.archive.representation, &lsh_cache_);
+                    options_.archive.representation);
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.drift_evals")
       .Increment();
@@ -216,7 +210,7 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
   Stopwatch timer;
   const ParInstance instance =
       BuildInstance(corpus_, options_.archive.budget,
-                    options_.archive.representation, &lsh_cache_);
+                    options_.archive.representation);
   // Surface an unsatisfiable budget as the typed error (with the numbers a
   // caller needs to pick a feasible one) before generic validation reports
   // it as a plain CheckFailure.

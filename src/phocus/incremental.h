@@ -151,12 +151,6 @@ class IncrementalArchiver {
   IncrementalOptions options_;
   Corpus corpus_;
   ArchivePlan plan_;
-  /// Per-subset SimHash indexes reused across replans: subsets are
-  /// append-only here, so unchanged subsets skip pair search entirely and
-  /// grown ones hash only their new members. Cleared when a failed update
-  /// rolls the corpus back (entries could otherwise alias re-appended
-  /// subsets whose member ids coincide but whose photos differ).
-  LshIndexCache lsh_cache_;
   bool initialized_ = false;
   std::size_t deferred_photos_ = 0;
 };

@@ -125,9 +125,11 @@ std::string EncodeCheckpointBody(const WalCheckpoint& checkpoint) {
   writer.WriteU8(archive.representation.context_normalize ? 1 : 0);
   writer.WriteF64(archive.representation.exif_weight);
   writer.WriteF64(archive.representation.sparsify_tau);
-  writer.WriteU64(archive.representation.lsh_min_subset_size);
-  writer.WriteU32(static_cast<std::uint32_t>(archive.representation.lsh_num_bits));
-  writer.WriteU64(archive.representation.lsh_seed);
+  // Retired LSH option slots (min subset size, bits, seed), written as their
+  // last defaults so WALs from before and after the removal read alike.
+  writer.WriteU64(192);
+  writer.WriteU32(128);
+  writer.WriteU64(0xfeed);
   writer.WriteU8(archive.compute_online_bound ? 1 : 0);
   writer.WriteU64(archive.coverage_rows);
   writer.WriteU8(checkpoint.incremental.rebalance ? 1 : 0);
@@ -159,10 +161,9 @@ WalCheckpoint DecodeCheckpointBody(std::string_view body,
   archive.representation.context_normalize = reader.ReadU8() != 0;
   archive.representation.exif_weight = reader.ReadF64();
   archive.representation.sparsify_tau = reader.ReadF64();
-  archive.representation.lsh_min_subset_size =
-      static_cast<std::size_t>(reader.ReadU64());
-  archive.representation.lsh_num_bits = static_cast<int>(reader.ReadU32());
-  archive.representation.lsh_seed = reader.ReadU64();
+  reader.ReadU64();  // retired LSH option slots: ignored
+  reader.ReadU32();
+  reader.ReadU64();
   archive.compute_online_bound = reader.ReadU8() != 0;
   archive.coverage_rows = static_cast<std::size_t>(reader.ReadU64());
   checkpoint.incremental.rebalance = reader.ReadU8() != 0;

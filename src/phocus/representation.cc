@@ -1,15 +1,19 @@
 #include "phocus/representation.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "embedding/context.h"
 #include "lsh/similar_pairs.h"
-#include "telemetry/metrics.h"
 #include "util/logging.h"
 
 namespace phocus {
 
 namespace {
+
+/// Subsets with more members than this skip the dense contextual matrix
+/// when sparsifying and take raw-cosine pairs from AllPairsAbove instead.
+constexpr std::size_t kLargeSubsetMembers = 192;
 
 /// Gathers per-subset local embedding/EXIF views so the similarity kernels
 /// operate on compact indices.
@@ -38,74 +42,11 @@ SubsetView GatherView(const Corpus& corpus, const SubsetSpec& spec,
   return view;
 }
 
-/// τ-similar pairs for one large subset, via the cache when possible.
-/// Reuse requires the stored configuration to match and the stored member
-/// list to be a prefix of the current one; then only the new members are
-/// hashed (the reuse the `lsh.signatures_reused` counter tracks) and the
-/// existing buckets are probed for pairs involving them. The union of
-/// cached and probed pairs is provably the from-scratch pair set, and the
-/// post-merge sort makes the two paths bit-identical.
-std::vector<SimilarPair> CachedLshPairs(LshIndexCache& cache,
-                                        std::size_t subset_position,
-                                        const SubsetSpec& spec,
-                                        const std::vector<Embedding>& embeddings,
-                                        double tau,
-                                        const LshPairFinderOptions& options) {
-  auto& registry = telemetry::MetricsRegistry::Current();
-  LshIndexCache::Entry& entry = cache.by_subset[subset_position];
-  const bool config_ok =
-      entry.index != nullptr && entry.tau == tau &&
-      entry.options.num_bits == options.num_bits &&
-      entry.options.bands == options.bands &&
-      entry.options.seed == options.seed &&
-      entry.index->dimension() == embeddings[0].size();
-  const bool prefix_ok =
-      config_ok && entry.members.size() <= spec.members.size() &&
-      std::equal(entry.members.begin(), entry.members.end(),
-                 spec.members.begin());
-  if (prefix_ok && entry.members.size() == spec.members.size()) {
-    registry.GetCounter("lsh.signatures_reused").Add(entry.members.size());
-    return entry.pairs;
-  }
-  if (prefix_ok) {
-    const std::uint32_t old_size =
-        static_cast<std::uint32_t>(entry.members.size());
-    registry.GetCounter("lsh.signatures_reused").Add(old_size);
-    entry.index->Add(embeddings);  // hashes only [old_size, m)
-    PairSearchStats probe_stats;
-    std::vector<SimilarPair> fresh =
-        entry.index->PairsAbove(embeddings, tau, &probe_stats, old_size);
-    const std::size_t cached_count = entry.pairs.size();
-    entry.pairs.insert(entry.pairs.end(), fresh.begin(), fresh.end());
-    // Both halves are (first, second)-sorted; the probe half may interleave
-    // with the cached one by `first`, so merge rather than sort.
-    std::inplace_merge(
-        entry.pairs.begin(),
-        entry.pairs.begin() + static_cast<std::ptrdiff_t>(cached_count),
-        entry.pairs.end(), [](const SimilarPair& x, const SimilarPair& y) {
-          return x.first != y.first ? x.first < y.first : x.second < y.second;
-        });
-    entry.candidate_pairs += probe_stats.candidate_pairs;
-    entry.members = spec.members;
-    return entry.pairs;
-  }
-  // Cold or invalidated: full rebuild.
-  entry.tau = tau;
-  entry.options = options;
-  entry.index = std::make_unique<SimHashIndex>(embeddings[0].size(), options);
-  entry.index->Add(embeddings);
-  PairSearchStats stats;
-  entry.pairs = entry.index->PairsAbove(embeddings, tau, &stats);
-  entry.candidate_pairs = stats.candidate_pairs;
-  entry.members = spec.members;
-  return entry.pairs;
-}
-
 }  // namespace
 
 ParInstance BuildInstance(const Corpus& corpus, Cost budget,
                           const RepresentationOptions& options,
-                          LshIndexCache* lsh_cache) {
+                          LshIndexCache* /*unused*/) {
   std::vector<Cost> costs;
   costs.reserve(corpus.photos.size());
   for (const CorpusPhoto& photo : corpus.photos) costs.push_back(photo.bytes);
@@ -118,9 +59,7 @@ ParInstance BuildInstance(const Corpus& corpus, Cost budget,
   const bool with_exif = options.exif_weight > 0.0;
   const bool sparsify = options.sparsify_tau > 0.0;
 
-  for (std::size_t spec_index = 0; spec_index < corpus.subsets.size();
-       ++spec_index) {
-    const SubsetSpec& spec = corpus.subsets[spec_index];
+  for (const SubsetSpec& spec : corpus.subsets) {
     Subset subset;
     subset.name = spec.name;
     subset.weight = spec.weight;
@@ -128,7 +67,7 @@ ParInstance BuildInstance(const Corpus& corpus, Cost budget,
     subset.relevance = spec.relevance;
     const std::size_t m = spec.members.size();
 
-    if (!sparsify || m <= options.lsh_min_subset_size) {
+    if (!sparsify || m <= kLargeSubsetMembers) {
       SubsetView view = GatherView(corpus, spec, with_exif);
       std::vector<float> dense = SubsetSimilarityMatrix(
           view.embeddings, with_exif ? &view.exif : nullptr, view.local_ids,
@@ -157,28 +96,32 @@ ParInstance BuildInstance(const Corpus& corpus, Cost budget,
         }
       }
     } else {
-      // Large subset: SimHash LSH candidate generation (§4.3). This path
-      // uses raw cosine similarity (context renormalization needs the exact
-      // max pairwise distance, which is what we are avoiding computing).
+      // Large subset: every raw-cosine pair >= τ from one exact sweep.
+      // Context renormalization needs the exact max pairwise distance, which
+      // is the dense matrix this path avoids materializing.
       SubsetView view = GatherView(corpus, spec, /*with_exif=*/false);
-      LshPairFinderOptions lsh;
-      lsh.num_bits = options.lsh_num_bits;
-      lsh.bands = SuggestBands(lsh.num_bits, options.sparsify_tau);
-      lsh.seed = options.lsh_seed;
       const std::vector<SimilarPair> pairs =
-          lsh_cache != nullptr
-              ? CachedLshPairs(*lsh_cache, spec_index, spec, view.embeddings,
-                               options.sparsify_tau, lsh)
-              : LshPairsAbove(view.embeddings, options.sparsify_tau, lsh);
+          AllPairsAbove(view.embeddings, options.sparsify_tau);
       subset.sim_mode = Subset::SimMode::kSparse;
-      // LSH pairs arrive in arbitrary order; collect rows, then flatten.
-      std::vector<std::vector<std::pair<std::uint32_t, float>>> rows(m);
+      // Fill the CSR arrays in place, without per-row vectors. Pairs arrive
+      // in (first, second) order, so each row fills in ascending order.
+      std::vector<std::uint32_t>& offsets = subset.sparse_offsets;
+      offsets.assign(m + 1, 0);
+      for (const SimilarPair& pair : pairs) {
+        ++offsets[pair.first + 1];
+        ++offsets[pair.second + 1];
+      }
+      std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+      subset.sparse_indices.resize(offsets[m]);
+      subset.sparse_values.resize(offsets[m]);
+      std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
       for (const SimilarPair& pair : pairs) {
         const float s = std::min(1.0f, pair.similarity);
-        rows[pair.first].emplace_back(pair.second, s);
-        rows[pair.second].emplace_back(pair.first, s);
+        subset.sparse_indices[next[pair.first]] = pair.second;
+        subset.sparse_values[next[pair.first]++] = s;
+        subset.sparse_indices[next[pair.second]] = pair.first;
+        subset.sparse_values[next[pair.second]++] = s;
       }
-      subset.SetSparseRows(rows);
     }
     instance.AddSubset(std::move(subset));
   }

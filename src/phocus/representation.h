@@ -1,14 +1,8 @@
 #ifndef PHOCUS_PHOCUS_REPRESENTATION_H_
 #define PHOCUS_PHOCUS_REPRESENTATION_H_
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
 #include "core/instance.h"
 #include "datagen/corpus.h"
-#include "lsh/simhash_index.h"
 
 /// \file representation.h
 /// The Data Representation Module (§5.1, Figure 4): turns a photo corpus —
@@ -17,8 +11,9 @@
 /// materializes the contextualized similarity function in the storage mode
 /// the solver will consume:
 ///   - dense contextual SIM (the PHOcus-NS input),
-///   - τ-sparsified SIM built either by thresholding the dense matrix or by
-///     SimHash LSH candidate generation for large subsets (the PHOcus input),
+///   - τ-sparsified SIM (the PHOcus input): subsets of up to 192 members
+///     threshold their dense contextual matrix; larger ones keep the raw
+///     cosine pairs >= τ from one exact all-pairs sweep (AllPairsAbove),
 ///   - a non-contextual surrogate (same cosine for every context) used by
 ///     the Greedy-NCS baseline.
 
@@ -30,48 +25,21 @@ struct RepresentationOptions {
   bool context_normalize = true;
   /// Weight of the EXIF metadata distance inside SIM; 0 = visual only.
   double exif_weight = 0.0;
-  /// τ-sparsification threshold; 0 keeps the dense matrices (PHOcus-NS).
+  /// τ-sparsification threshold in [0, 1]; 0 keeps the dense matrices
+  /// (PHOcus-NS).
   double sparsify_tau = 0.0;
-  /// Subsets with more members than this use LSH candidate generation
-  /// instead of the all-pairs matrix when sparsifying. Only reachable when
-  /// sparsify_tau > 0.
-  std::size_t lsh_min_subset_size = 192;
-  /// SimHash signature bits for the LSH path.
-  int lsh_num_bits = 128;
-  std::uint64_t lsh_seed = 0xfeedULL;
 };
 
-/// Reusable LSH state for repeated BuildInstance calls over a growing
-/// corpus (the incremental archiver's replan loop). Keyed by subset
-/// *position* — the archiver only ever appends subsets, so position is a
-/// stable identity. An entry is reused when the stored configuration
-/// matches and the stored member list is a prefix of the subset's current
-/// members (photo ids are stable and embeddings immutable under append-only
-/// growth): an identical member list reuses the cached pairs outright; a
-/// grown one hashes only the new members and probes the existing buckets.
-/// Any mismatch rebuilds the entry from scratch — reuse is always
-/// bit-identical to a fresh build, never a behavior change.
+/// Empty: BuildInstance keeps no state between calls. Kept, with the
+/// ignored trailing parameter below, only because phocus_bench names both.
 struct LshIndexCache {
-  struct Entry {
-    double tau = 0.0;
-    LshPairFinderOptions options;
-    std::vector<PhotoId> members;  ///< global ids, in subset order
-    std::unique_ptr<SimHashIndex> index;
-    std::vector<SimilarPair> pairs;  ///< verified pairs, local ids, sorted
-    std::size_t candidate_pairs = 0;
-  };
-  std::unordered_map<std::size_t, Entry> by_subset;
-
-  void Clear() { by_subset.clear(); }
+  void Clear() {}
 };
 
 /// Builds the PAR instance for `corpus` under storage budget `budget`.
-/// With `lsh_cache` non-null, large-subset LSH sparsification reuses (and
-/// extends) cached signature indexes instead of rehashing every member —
-/// the produced instance is bit-identical either way.
 ParInstance BuildInstance(const Corpus& corpus, Cost budget,
                           const RepresentationOptions& options = {},
-                          LshIndexCache* lsh_cache = nullptr);
+                          LshIndexCache* unused = nullptr);
 
 /// Convenience: the Greedy-NCS surrogate (non-contextual SIM, dense).
 ParInstance BuildNonContextualInstance(const Corpus& corpus, Cost budget);

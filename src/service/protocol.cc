@@ -154,12 +154,9 @@ Json PlanToJson(const ArchivePlan& plan) {
 std::string CanonicalOptionsKey(const ArchiveOptions& options) {
   const RepresentationOptions& repr = options.representation;
   return StrFormat(
-      "budget=%llu;ctx=%d;exif=%.17g;tau=%.17g;lsh=%zu/%d/%llu;bound=%d;"
-      "rows=%zu",
+      "budget=%llu;ctx=%d;exif=%.17g;tau=%.17g;bound=%d;rows=%zu",
       static_cast<unsigned long long>(options.budget),
-      options.representation.context_normalize ? 1 : 0, repr.exif_weight,
-      repr.sparsify_tau, repr.lsh_min_subset_size, repr.lsh_num_bits,
-      static_cast<unsigned long long>(repr.lsh_seed),
+      repr.context_normalize ? 1 : 0, repr.exif_weight, repr.sparsify_tau,
       options.compute_online_bound ? 1 : 0, options.coverage_rows);
 }
 

@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
@@ -34,8 +35,11 @@ ArchiveOptions OptionsFromParams(const Json& params, bool require_budget) {
   } else {
     PHOCUS_CHECK(!require_budget, "missing required param: budget");
   }
-  options.representation.sparsify_tau =
+  const double tau =
       params.GetOr("tau", Json(options.representation.sparsify_tau)).AsDouble();
+  PHOCUS_CHECK(std::isfinite(tau) && tau >= 0.0 && tau <= 1.0,
+               "param tau must be a number in [0, 1]");
+  options.representation.sparsify_tau = tau;
   options.representation.exif_weight =
       params.GetOr("exif_weight", Json(options.representation.exif_weight))
           .AsDouble();

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "datagen/corpus_io.h"
 #include "datagen/openimages.h"
 #include "imaging/ppm_io.h"
+#include "phocus/ingest_wal.h"
 #include "phocus/instance_io.h"
 #include "service/protocol.h"
 #include "tests/scenario_support.h"
@@ -272,9 +277,8 @@ std::string DecodeHexFile(const std::string& path) {
   return bytes;
 }
 
-std::vector<std::string> CorpusFiles() {
-  const std::string dir =
-      std::string(PHOCUS_TEST_CORPUS_DIR) + "/frame_decoder";
+std::vector<std::string> CorpusFiles(const std::string& subdir) {
+  const std::string dir = std::string(PHOCUS_TEST_CORPUS_DIR) + "/" + subdir;
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".hex") {
@@ -328,7 +332,7 @@ ReplayResult ReplayChunked(const std::string& bytes,
 }
 
 TEST(FrameCorpusTest, EntriesReplayIdenticallyUnderEveryChunking) {
-  const std::vector<std::string> files = CorpusFiles();
+  const std::vector<std::string> files = CorpusFiles("frame_decoder");
   ASSERT_FALSE(files.empty()) << "corpus directory missing or empty";
   for (const std::string& file : files) {
     SCOPED_TRACE(file);
@@ -361,7 +365,7 @@ TEST(FrameCorpusTest, EntriesReplayIdenticallyUnderEveryChunking) {
 
 TEST(FrameCorpusTest, CorpusCoversEveryDecoderStatus) {
   bool saw_frame = false, saw_too_large = false, saw_incomplete = false;
-  for (const std::string& file : CorpusFiles()) {
+  for (const std::string& file : CorpusFiles("frame_decoder")) {
     const ReplayResult result = ReplayChunked(DecodeHexFile(file), {});
     saw_frame = saw_frame || !result.frames.empty();
     saw_too_large = saw_too_large || result.too_large;
@@ -376,7 +380,7 @@ TEST(FrameCorpusTest, CorpusCoversEveryDecoderStatus) {
 }
 
 TEST(FrameCorpusTest, EntriesSurviveInjectedShortReadsOverASocket) {
-  for (const std::string& file : CorpusFiles()) {
+  for (const std::string& file : CorpusFiles("frame_decoder")) {
     SCOPED_TRACE(file);
     const std::string bytes = DecodeHexFile(file);
     if (bytes.empty()) continue;
@@ -411,6 +415,99 @@ TEST(FrameCorpusTest, EntriesSurviveInjectedShortReadsOverASocket) {
     EXPECT_TRUE(actual == expected)
         << "socket replay diverged from direct replay";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded WAL corpus (format in docs/TESTING.md): each case under
+// tests/corpus/ingest_wal/ goes through IngestWal::Load and must produce the
+// outcome its "# expect:" line pins — never a crash or an untyped exception.
+
+/// Caps the address space at its current size plus 256 MiB while alive, so
+/// an unbounded allocation is a deterministic std::bad_alloc rather than an
+/// OOM kill or a silent success.
+class ScopedAddressSpaceCap {
+ public:
+  ScopedAddressSpaceCap() {
+    getrlimit(RLIMIT_AS, &saved_);
+    rlim_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    rlimit capped = saved_;
+    const rlim_t page = static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+    capped.rlim_cur = std::min(saved_.rlim_max, pages * page + (256 << 20));
+    setrlimit(RLIMIT_AS, &capped);
+  }
+  ~ScopedAddressSpaceCap() { setrlimit(RLIMIT_AS, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+/// Loads `ckpt_hex` (and `log_hex`, unless empty) as session "s" in `dir`
+/// and names the outcome in the "# expect:" grammar.
+std::string LoadOutcome(const std::string& dir, const std::string& ckpt_hex,
+                        const std::string& log_hex) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WriteFile(dir + "/s.ckpt", DecodeHexFile(ckpt_hex));
+  if (!log_hex.empty()) WriteFile(dir + "/s.log", DecodeHexFile(log_hex));
+  IngestWal wal(dir, "s");
+  ScopedAddressSpaceCap cap;
+  try {
+    const IngestWal::LoadResult result = wal.Load();
+    if (result.stale_log) return "stale";
+    return (result.torn_tail ? "torn " : "ok ") +
+           std::to_string(result.records.size());
+  } catch (const WalMismatchError&) {
+    return "mismatch";
+  } catch (const CheckFailure&) {
+    return "error";
+  }
+}
+
+TEST(WalCorpusTest, EveryCaseLoadsOrFailsTyped) {
+  const std::string base = std::string(PHOCUS_TEST_CORPUS_DIR) + "/ingest_wal/";
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "phocus_wal_corpus").string();
+  std::set<std::string> stems;
+  for (const std::string& file : CorpusFiles("ingest_wal")) {
+    const std::string name = std::filesystem::path(file).filename().string();
+    stems.insert(name.substr(0, name.find('.')));
+  }
+  std::set<std::string> outcomes;
+  for (const std::string& stem : stems) {
+    SCOPED_TRACE(stem);
+    std::string ckpt = base + stem + ".ckpt.hex";
+    std::string log = base + stem + ".log.hex";
+    const std::string text =
+        ReadFile(std::filesystem::exists(ckpt) ? ckpt : log);
+    const std::string tag = "# expect: ";
+    const std::size_t at = text.find(tag);
+    ASSERT_NE(at, std::string::npos) << "case has no '# expect:' line";
+    const std::string expected =
+        text.substr(at + tag.size(), text.find('\n', at) - at - tag.size());
+    if (!std::filesystem::exists(ckpt)) ckpt = base + "valid.ckpt.hex";
+    if (!std::filesystem::exists(log)) log = base + "valid.log.hex";
+    EXPECT_EQ(LoadOutcome(dir, ckpt, log), expected);
+    outcomes.insert(expected.substr(0, expected.find(' ')));
+  }
+  std::filesystem::remove_all(dir);
+  // Guards corpus erosion: every outcome keeps a case.
+  EXPECT_EQ(outcomes, (std::set<std::string>{"error", "mismatch", "ok",
+                                             "stale", "torn"}));
+}
+
+TEST(WalCorpusTest, OlderCheckpointReencodesByteIdentically) {
+  // The retired LSH slots are written back with the values that encoder
+  // stored, so the layout, and these bytes, are unchanged.
+  const std::string hex = std::string(PHOCUS_TEST_CORPUS_DIR) +
+                          "/ingest_wal/older_encoder.ckpt.hex";
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "phocus_wal_reencode").string();
+  ASSERT_EQ(LoadOutcome(dir, hex, ""), "ok 0");
+  IngestWal out(dir + "/out", "s");
+  out.Start(IngestWal(dir, "s").Load().checkpoint);
+  EXPECT_EQ(ReadFile(out.checkpoint_path()), DecodeHexFile(hex));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -17,10 +17,11 @@
 /// The parallel sharded pair-search engine must be bit-identical to the
 /// serial reference: same pairs (ids and similarity bits), same
 /// deterministic stats, for any shard count — and an incrementally grown
-/// SimHashIndex must equal a from-scratch build. Cross-PHOCUS_NUM_THREADS
-/// determinism is covered by the lsh_determinism subprocess ctest (the
-/// pool size is fixed per process); these tests run on whatever pool this
-/// process has plus every shard layout.
+/// SimHashIndex must equal a from-scratch build. BuildInstance's
+/// large-subset rows must equal a brute-force CosineSimilarity sweep.
+/// Cross-PHOCUS_NUM_THREADS determinism is covered by the lsh_determinism
+/// subprocess ctest (the pool size is fixed per process); these tests run
+/// on whatever pool this process has plus every shard layout.
 
 namespace phocus {
 namespace {
@@ -139,49 +140,6 @@ TEST(SimHashIndexTest, IncrementalExtensionMatchesFromScratch) {
   EXPECT_EQ(grown_stats.candidate_pairs, scratch_stats.candidate_pairs);
 }
 
-TEST(SimHashIndexTest, ProbeUnionEqualsFromScratchSearch) {
-  const auto vectors = MakeClusteredVectors(16, 12, 36, 0.12, 404);
-  const double tau = 0.8;
-  LshPairFinderOptions options;
-  options.num_bits = 128;
-  options.bands = SuggestBands(options.num_bits, tau);
-  const std::size_t old_count = vectors.size() / 2;
-  const std::vector<Embedding> prefix(vectors.begin(),
-                                      vectors.begin() + old_count);
-
-  SimHashIndex index(vectors[0].size(), options);
-  index.Add(prefix);
-  PairSearchStats old_stats;
-  std::vector<SimilarPair> merged = index.PairsAbove(prefix, tau, &old_stats);
-
-  index.Add(vectors);
-  PairSearchStats probe_stats;
-  const std::vector<SimilarPair> fresh = index.PairsAbove(
-      vectors, tau, &probe_stats, static_cast<std::uint32_t>(old_count));
-  // Every probed pair involves a new vector.
-  for (const SimilarPair& pair : fresh) {
-    EXPECT_GE(pair.second, old_count);
-  }
-  const std::size_t cached = merged.size();
-  merged.insert(merged.end(), fresh.begin(), fresh.end());
-  std::inplace_merge(merged.begin(),
-                     merged.begin() + static_cast<std::ptrdiff_t>(cached),
-                     merged.end(),
-                     [](const SimilarPair& x, const SimilarPair& y) {
-                       return x.first != y.first ? x.first < y.first
-                                                 : x.second < y.second;
-                     });
-
-  SimHashIndex scratch(vectors[0].size(), options);
-  scratch.Add(vectors);
-  PairSearchStats scratch_stats;
-  const std::vector<SimilarPair> scratch_pairs =
-      scratch.PairsAbove(vectors, tau, &scratch_stats);
-  ExpectIdenticalPairs(merged, scratch_pairs);
-  EXPECT_EQ(old_stats.candidate_pairs + probe_stats.candidate_pairs,
-            scratch_stats.candidate_pairs);
-}
-
 TEST(SimHashIndexTest, GuardsMisuse) {
   LshPairFinderOptions options;
   options.num_bits = 100;
@@ -236,121 +194,54 @@ TEST(LshFailpointTest, BucketizeAndVerifyFailpointsFire) {
 }
 
 // ---------------------------------------------------------------------------
-// BuildInstance LSH cache: cold, warm, and grown builds are bit-identical
-// to the uncached path.
+// BuildInstance's large-subset path: one exact sweep, no LSH.
 
-Corpus MakeLshCorpus(std::size_t photos, std::size_t dim, std::uint64_t seed) {
-  const auto vectors =
-      MakeClusteredVectors(photos / 10, 10, dim, 0.1, seed);
+TEST(LargeSubsetPairsTest, SparseRowsEqualBruteForceCosine) {
+  // One 300-member subset, above the 192-member dense cutoff. SimHash
+  // banding at τ = 0.5 (128 bits, SuggestBands, seed 0xfeed) misses one of
+  // its 1455 τ-pairs; the exact sweep must not.
+  const auto vectors = MakeClusteredVectors(30, 10, 32, 0.12, 717);
+  const double tau = 0.5;
   Corpus corpus;
-  corpus.name = "lsh-cache-test";
-  for (std::size_t p = 0; p < vectors.size(); ++p) {
-    CorpusPhoto photo;
-    photo.embedding = vectors[p];
-    photo.bytes = 1000 + static_cast<Cost>(p);
-    photo.quality = 0.5;
-    photo.title = "p" + std::to_string(p);
-    corpus.photos.push_back(std::move(photo));
-  }
   SubsetSpec all;
-  all.name = "all";
-  all.weight = 1.0;
-  for (PhotoId p = 0; p < corpus.photos.size(); ++p) all.members.push_back(p);
+  for (std::size_t p = 0; p < vectors.size(); ++p) {
+    CorpusPhoto& photo = corpus.photos.emplace_back();
+    photo.embedding = vectors[p];
+    photo.bytes = 1000;
+    all.members.push_back(static_cast<PhotoId>(p));
+  }
   corpus.subsets.push_back(std::move(all));
-  return corpus;
-}
-
-RepresentationOptions LshRepresentation() {
   RepresentationOptions options;
-  options.sparsify_tau = 0.75;
-  options.lsh_min_subset_size = 16;  // force the LSH path on small fixtures
-  options.lsh_num_bits = 128;
-  return options;
-}
+  options.sparsify_tau = tau;
 
-void ExpectIdenticalSubsets(const ParInstance& got, const ParInstance& want) {
-  ASSERT_EQ(got.num_subsets(), want.num_subsets());
-  for (SubsetId q = 0; q < got.num_subsets(); ++q) {
-    const Subset& a = got.subset(q);
-    const Subset& b = want.subset(q);
-    EXPECT_EQ(a.sim_mode, b.sim_mode) << "subset " << q;
-    EXPECT_EQ(a.sparse_offsets, b.sparse_offsets) << "subset " << q;
-    EXPECT_EQ(a.sparse_indices, b.sparse_indices) << "subset " << q;
-    EXPECT_EQ(a.sparse_values, b.sparse_values) << "subset " << q;
-    EXPECT_EQ(a.dense_sim, b.dense_sim) << "subset " << q;
+  auto& signatures = telemetry::MetricsRegistry::Current().GetCounter(
+      "lsh.signatures_computed");
+  const std::uint64_t signatures_before = signatures.value();
+  const ParInstance instance =
+      BuildInstance(corpus, corpus.TotalBytes() / 3, options);
+  EXPECT_EQ(signatures.value(), signatures_before);
+
+  const std::size_t m = vectors.size();
+  std::vector<std::vector<std::pair<std::uint32_t, float>>> rows(m);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    for (std::uint32_t j = i + 1; j < m; ++j) {
+      const double sim = CosineSimilarity(vectors[i], vectors[j]);
+      if (sim < tau) continue;
+      const float s = std::min(1.0f, static_cast<float>(sim));
+      rows[i].emplace_back(j, s);
+      rows[j].emplace_back(i, s);
+    }
   }
-}
+  Subset expected;
+  expected.members = corpus.subsets[0].members;
+  expected.SetSparseRows(rows);
 
-TEST(LshCacheTest, CachedBuildsAreBitIdenticalAndReuseSignatures) {
-  const Corpus corpus = MakeLshCorpus(120, 32, 707);
-  const Cost budget = corpus.TotalBytes() / 3;
-  const RepresentationOptions options = LshRepresentation();
-
-  const ParInstance uncached = BuildInstance(corpus, budget, options);
-
-  LshIndexCache cache;
-  const ParInstance cold = BuildInstance(corpus, budget, options, &cache);
-  ExpectIdenticalSubsets(cold, uncached);
-  EXPECT_EQ(cache.by_subset.size(), 1u);
-
-  auto& reused_counter = telemetry::MetricsRegistry::Current().GetCounter(
-      "lsh.signatures_reused");
-  const std::uint64_t reused_before = reused_counter.value();
-  const ParInstance warm = BuildInstance(corpus, budget, options, &cache);
-  ExpectIdenticalSubsets(warm, uncached);
-  // A full-reuse hit reports every member as a reused signature.
-  EXPECT_EQ(reused_counter.value() - reused_before,
-            static_cast<std::uint64_t>(corpus.subsets[0].members.size()));
-}
-
-TEST(LshCacheTest, GrownSubsetHashesOnlyNewMembers) {
-  Corpus corpus = MakeLshCorpus(100, 32, 808);
-  const RepresentationOptions options = LshRepresentation();
-  LshIndexCache cache;
-  BuildInstance(corpus, corpus.TotalBytes() / 3, options, &cache);
-  const std::size_t old_members = corpus.subsets[0].members.size();
-
-  // Grow the corpus and extend the subset with the arrivals (the
-  // incremental archiver's append-only pattern).
-  const Corpus extra = MakeLshCorpus(40, 32, 809);
-  for (const CorpusPhoto& photo : extra.photos) {
-    corpus.subsets[0].members.push_back(
-        static_cast<PhotoId>(corpus.photos.size()));
-    corpus.photos.push_back(photo);
-  }
-  const Cost budget = corpus.TotalBytes() / 3;
-
-  auto& registry = telemetry::MetricsRegistry::Current();
-  const std::uint64_t reused_before =
-      registry.GetCounter("lsh.signatures_reused").value();
-  const std::uint64_t computed_before =
-      registry.GetCounter("lsh.signatures_computed").value();
-  const ParInstance grown = BuildInstance(corpus, budget, options, &cache);
-  const std::uint64_t reused =
-      registry.GetCounter("lsh.signatures_reused").value() - reused_before;
-  const std::uint64_t computed =
-      registry.GetCounter("lsh.signatures_computed").value() - computed_before;
-
-  // Every pre-existing member's signature is reused; only arrivals hash.
-  EXPECT_EQ(reused, static_cast<std::uint64_t>(old_members));
-  EXPECT_EQ(computed, static_cast<std::uint64_t>(extra.photos.size()));
-
-  const ParInstance uncached = BuildInstance(corpus, budget, options);
-  ExpectIdenticalSubsets(grown, uncached);
-}
-
-TEST(LshCacheTest, ChangedConfigurationInvalidatesTheEntry) {
-  const Corpus corpus = MakeLshCorpus(80, 32, 909);
-  const Cost budget = corpus.TotalBytes() / 3;
-  RepresentationOptions options = LshRepresentation();
-  LshIndexCache cache;
-  BuildInstance(corpus, budget, options, &cache);
-
-  // A different τ must not reuse pairs computed for the old τ.
-  options.sparsify_tau = 0.6;
-  const ParInstance rebuilt = BuildInstance(corpus, budget, options, &cache);
-  const ParInstance uncached = BuildInstance(corpus, budget, options);
-  ExpectIdenticalSubsets(rebuilt, uncached);
+  const Subset& got = instance.subset(0);
+  ASSERT_EQ(got.sim_mode, Subset::SimMode::kSparse);
+  EXPECT_EQ(got.sparse_offsets, expected.sparse_offsets);
+  EXPECT_EQ(got.sparse_indices, expected.sparse_indices);
+  // Every value is >= τ > 0, so float equality is bit equality.
+  EXPECT_EQ(got.sparse_values, expected.sparse_values);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/baselines.h"
@@ -96,12 +97,15 @@ TEST(RepresentationTest, NonContextualDiffersFromContextual) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(RepresentationTest, LshPathProducesValidSparseInstance) {
-  // Force the LSH path by lowering the size threshold.
-  const Corpus corpus = SmallCorpus(4, 200);
+TEST(RepresentationTest, LargeSubsetPathProducesValidSparseInstance) {
+  // Large enough that some subset exceeds the 192-member dense cutoff and
+  // takes the all-pairs path.
+  const Corpus corpus = SmallCorpus(4, 600);
+  ASSERT_TRUE(std::any_of(
+      corpus.subsets.begin(), corpus.subsets.end(),
+      [](const SubsetSpec& spec) { return spec.members.size() > 192; }));
   RepresentationOptions options;
   options.sparsify_tau = 0.7;
-  options.lsh_min_subset_size = 4;  // almost every subset goes through LSH
   const ParInstance instance =
       BuildInstance(corpus, corpus.TotalBytes() / 4, options);
   instance.Validate();

@@ -399,7 +399,21 @@ TEST_F(ServiceTest, InfeasibleBudgetSurfacesAsTypedError) {
     EXPECT_EQ(error.code(), ErrorCode::kInfeasible);
   }
 
-  // The rejection did not corrupt the session: the previous plan stands and
+  // A τ outside [0, 1] is a bad request, whatever the subset sizes.
+  for (const double tau : {-0.1, 1.5}) {
+    Json bad_tau = Json::Object();
+    bad_tau.Set("session", session);
+    bad_tau.Set("budget", 2'000'000);
+    bad_tau.Set("tau", tau);
+    try {
+      client.Call("plan", std::move(bad_tau));
+      FAIL() << "expected bad_request for tau=" << tau;
+    } catch (const ServiceError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kBadRequest);
+    }
+  }
+
+  // The rejections did not corrupt the session: the previous plan stands and
   // a feasible re-budget still works.
   Json rebudget = Json::Object();
   rebudget.Set("session", session);
