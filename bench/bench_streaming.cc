@@ -8,6 +8,10 @@
 ///               fresh solve could beat the stale plan by more than ε,
 ///               plus the final flush (phocus/streaming.h).
 ///
+/// A third row, shrink_2pct, times the set_budget verb on the whole corpus:
+/// a 2% budget cut evicts retained photos by removal loss per byte, then
+/// tops up and rebalances (phocus/incremental.h).
+///
 /// Expected shape: the drift policy runs severalfold fewer replans (the
 /// machine-independent column) at a final score within a few percent of the
 /// per-batch baseline, because the skipped replans are exactly the ones the
@@ -62,6 +66,7 @@ int main(int argc, char** argv) {
     double score = 0.0;
     std::size_t replans = 0;
     std::size_t drift_evals = 0;
+    std::size_t evicted = 0;
     std::size_t gain_evals = 0;
     std::size_t photos = 0;
     std::size_t subsets = 0;
@@ -125,6 +130,25 @@ int main(int argc, char** argv) {
   const ModeResult per_batch = run_mode("per_batch", true, 0.0);
   const ModeResult drift = run_mode("drift_eps0.25", false, 0.25);
 
+  const ModeResult shrink = [&] {
+    StreamingOptions options;
+    options.incremental.archive.budget = budget;
+    StreamingArchiver archiver(options);
+    archiver.Initialize(full);
+    Stopwatch timer;
+    const IngestOutcome outcome = archiver.SetBudget(budget - budget / 50);
+    ModeResult result;
+    result.label = "shrink_2pct";
+    result.seconds = timer.ElapsedSeconds();
+    result.score = archiver.plan().score;
+    result.replans = archiver.replans();
+    result.evicted = outcome.stats.evicted_for_feasibility;
+    result.gain_evals = outcome.stats.gain_evaluations;
+    result.photos = full.num_photos();
+    result.subsets = full.subsets.size();
+    return result;
+  }();
+
   TextTable table;
   table.SetHeader({"policy", "replans", "drift evals", "gain evals",
                    "final G", "stream seconds"});
@@ -140,8 +164,11 @@ int main(int argc, char** argv) {
               "per-batch\n",
               per_batch.replans - drift.replans, per_batch.replans,
               100.0 * drift.score / std::max(1e-9, per_batch.score));
+  std::printf("set_budget -2%%: %zu evicted, %zu gain evals, final G %.2f, "
+              "%.3f s\n",
+              shrink.evicted, shrink.gain_evals, shrink.score, shrink.seconds);
 
-  for (const ModeResult* mode : {&per_batch, &drift}) {
+  for (const ModeResult* mode : {&per_batch, &drift, &shrink}) {
     bench::BenchRecord record;
     record.solver = std::string("stream_") + mode->label;
     record.photos = mode->photos;
@@ -151,6 +178,7 @@ int main(int argc, char** argv) {
     record.score = mode->score;
     record.replans = mode->replans;
     record.drift_evals = mode->drift_evals;
+    record.evicted = mode->evicted;
     record.streaming = true;
     bench::RecordBenchResult(record);
   }

@@ -50,6 +50,7 @@ namespace {
 std::string g_telemetry_out;  // empty = no dump requested
 std::string g_bench_json;    // empty = no bench JSON requested
 std::string g_bench_fixture = "unspecified";
+std::string g_bench_command;  // how to regenerate the bench JSON
 std::vector<BenchRecord> g_bench_records;
 std::vector<KernelBenchRecord> g_kernel_records;
 
@@ -67,6 +68,15 @@ std::string CompilerString() {
 }  // namespace
 
 void ParseBenchFlags(int* argc, char** argv) {
+  for (const char* name :
+       {"PHOCUS_BENCH_SCALE", "PHOCUS_NUM_THREADS", "PHOCUS_KERNELS"}) {
+    if (const char* value = std::getenv(name)) {
+      g_bench_command += StrFormat("%s=%s ", name, value);
+    }
+  }
+  const char* slash = std::strrchr(argv[0], '/');
+  g_bench_command += slash != nullptr ? slash + 1 : argv[0];
+  for (int i = 1; i < *argc; ++i) g_bench_command += std::string(" ") + argv[i];
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
@@ -116,6 +126,7 @@ void ExportBenchJsonIfRequested(const std::string& bench_name) {
     meta.Set("threads_env", Json(threads_env != nullptr ? threads_env : ""));
     meta.Set("compiler", Json(CompilerString()));
     meta.Set("fixture", Json(g_bench_fixture));
+    meta.Set("command", Json(g_bench_command));
     root.Set("meta", std::move(meta));
   }
   Json results = Json::Array();
@@ -131,6 +142,7 @@ void ExportBenchJsonIfRequested(const std::string& bench_name) {
       row.Set("replans", Json(static_cast<std::uint64_t>(record.replans)));
       row.Set("drift_evals",
               Json(static_cast<std::uint64_t>(record.drift_evals)));
+      row.Set("evicted", Json(static_cast<std::uint64_t>(record.evicted)));
     }
     results.Append(std::move(row));
   }

@@ -100,7 +100,8 @@ struct BenchRecord {
   /// mode ran at least one replan decision. Machine-independent.
   std::size_t replans = 0;      ///< replans executed over the stream
   std::size_t drift_evals = 0;  ///< drift-bound evaluations over the stream
-  bool streaming = false;       ///< emit the two counters above
+  std::size_t evicted = 0;      ///< photos evicted for feasibility
+  bool streaming = false;       ///< emit the three counters above
 };
 
 /// Queues one record for ExportBenchJsonIfRequested().
@@ -133,12 +134,15 @@ bool BenchJsonRequested();
 
 /// Writes the queued records if --bench-json was given:
 ///   {"format": "phocus-bench", "bench": <name>, "threads": N,
-///    "meta": {"isa": ..., "threads_env": ..., "compiler": ..., "fixture": ...},
+///    "meta": {"isa": ..., "threads_env": ..., "compiler": ..., "fixture": ...,
+///             "command": ...},
 ///    "results": [{solver, photos, subsets, wall_seconds, gain_evals,
 ///                 score}, ...],
 ///    "kernel_results": [...]}            // only when kernel records queued
 /// The meta block makes checked-in BENCH_*.json self-describing: which
-/// kernel table produced it, the thread pin, and the toolchain.
+/// kernel table produced it, the thread pin, the toolchain, and the command
+/// that regenerates it (the PHOCUS_* settings that change results, then the
+/// binary and its flags).
 /// Call once at the end of main(). No-op otherwise.
 void ExportBenchJsonIfRequested(const std::string& bench_name);
 

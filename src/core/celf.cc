@@ -40,9 +40,8 @@ SolverResult LazyGreedyFrom(const ParInstance& instance, GreedyRule rule,
                             const CelfOptions& options,
                             const std::vector<PhotoId>& seed) {
   Stopwatch timer;
-  ObjectiveEvaluator evaluator(&instance);
   // Line 1-2 of Algorithm 2: S ← seed (⊇ S0), B ← B − C(seed).
-  for (PhotoId p : seed) evaluator.Add(p);
+  ObjectiveEvaluator evaluator(&instance, seed);
   SolverResult result =
       LazyGreedyComplete(instance, rule, options, evaluator, seed);
   // A fresh evaluator makes the pass's total oracle count exactly the

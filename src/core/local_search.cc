@@ -16,6 +16,9 @@ namespace phocus {
 
 namespace {
 
+/// Relative improvement below which a move is rejected (floating-point churn).
+constexpr double kMinRelativeGain = 1e-9;
+
 /// One speculative evict-and-refill probe, batched by the sweep below.
 struct VictimProbe {
   PhotoId victim = 0;
@@ -40,13 +43,9 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
   // One reusable evaluator scores the incoming solution; its counter delta
   // is the true oracle cost of the pass (duplicates in `selected` are
   // skipped, so this can be below selected.size()).
-  ObjectiveEvaluator current(&instance);
-  for (PhotoId p : solution.selected) {
-    if (!current.IsSelected(p)) current.Add(p);
-  }
+  ObjectiveEvaluator current(&instance, solution.selected);
   stats.gain_evaluations += current.gain_evaluations();
   stats.initial_score = current.score();
-  double current_score = stats.initial_score;
 
   // Refill probes use the strictly sequential CELF loop: it performs the
   // fewest oracle calls per probe, and parallelism comes from probing
@@ -57,14 +56,9 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
   probe_options.concurrent_passes = false;
 
   const std::size_t batch_width = std::max<std::size_t>(1, options.probe_batch);
-  // One scratch evaluator per batch lane, constructed once and Reset per
-  // probe — evaluator construction is an arena allocation we do not want in
-  // the inner loop.
-  std::vector<ObjectiveEvaluator> scratch;
-  scratch.reserve(batch_width);
-  for (std::size_t lane = 0; lane < batch_width; ++lane) {
-    scratch.emplace_back(&instance);
-  }
+  // One scratch evaluator per batch lane, overwritten with `current` per
+  // probe — copy-assignment reuses the lane's arena.
+  std::vector<ObjectiveEvaluator> scratch(batch_width, current);
 
   // Membership bitmask for O(1) "is the victim still selected" checks
   // (previously a std::find over the selection — quadratic per sweep).
@@ -95,22 +89,17 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
       }
       if (probes.empty()) break;
 
-      // Probe every victim against the same frozen selection. Each lane has
-      // its own evaluator, so the probes are independent const work over
-      // the shared instance.
+      // Probe every victim against the same frozen selection. Each lane
+      // copies `current` and removes its victim, so the probes are
+      // independent work over the shared instance.
       ThreadPool::Global().ParallelFor(probes.size(), [&](std::size_t k) {
         VictimProbe& probe = probes[k];
         ObjectiveEvaluator& evaluator = scratch[k];
+        evaluator = current;
         const std::size_t evals_before = evaluator.gain_evaluations();
-        evaluator.Reset();
-        std::vector<PhotoId> base;
-        base.reserve(solution.selected.size() - 1);
-        for (PhotoId p : solution.selected) {
-          if (p != probe.victim) {
-            base.push_back(p);
-            evaluator.Add(p);
-          }
-        }
+        evaluator.Remove(probe.victim);
+        std::vector<PhotoId> base = solution.selected;
+        base.erase(std::find(base.begin(), base.end(), probe.victim));
         // Greedy refill of the freed budget (may re-add the victim, in
         // which case the move cannot strictly improve and is rejected).
         probe.refilled =
@@ -128,7 +117,7 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
         ++stats.moves_tried;
         stats.gain_evaluations += probes[k].gain_evaluations;
         if (probes[k].refilled.score >
-            current_score * (1.0 + options.min_relative_gain)) {
+            current.score() * (1.0 + kMinRelativeGain)) {
           accepted_at = k;
           break;
         }
@@ -136,7 +125,10 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
       if (accepted_at < probes.size()) {
         const VictimProbe& winner = probes[accepted_at];
         solution.selected = winner.refilled.selected;
-        current_score = winner.refilled.score;
+        // Re-Add the new selection in order: `current` then matches a fresh
+        // evaluation of it, score bits included.
+        current = ObjectiveEvaluator(&instance, solution.selected);
+        stats.gain_evaluations += current.gain_evaluations();
         ++stats.moves_accepted;
         any_accepted = true;
         in_selection[winner.victim] = 0;
@@ -147,14 +139,14 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
     if (!any_accepted) break;
   }
 
-  solution.score = current_score;
+  solution.score = current.score();
   solution.cost = 0;
   for (PhotoId p : solution.selected) solution.cost += instance.cost(p);
   // The refill probes evaluated gains on the solution's behalf; without this
   // the wrapped result under-reports its oracle complexity (audit: the
   // wrapper previously dropped them entirely).
   solution.gain_evaluations += stats.gain_evaluations;
-  stats.final_score = current_score;
+  stats.final_score = current.score();
 
   auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("solver.local_search.moves_tried")

@@ -20,9 +20,6 @@ struct LocalSearchOptions {
   /// Maximum full sweeps over the selection (each sweep is O(|S|) evict-
   /// and-refill attempts).
   int max_passes = 3;
-  /// Relative improvement below which a move is rejected (guards against
-  /// floating-point churn).
-  double min_relative_gain = 1e-9;
   /// Number of evict-and-refill probes evaluated concurrently. Probes in a
   /// batch run against the same frozen selection; the first improving one
   /// (in selection order) is accepted, later probes in the batch are

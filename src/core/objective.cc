@@ -11,7 +11,16 @@ ObjectiveEvaluator::ObjectiveEvaluator(const ParInstance* instance)
     : instance_(instance) {
   PHOCUS_CHECK(instance != nullptr, "instance must be non-null");
   instance_->BuildMembershipIndex();
-  Reset();
+  best_sim_.assign(instance_->total_members(), 0.0f);
+  selected_.assign(instance_->num_photos(), false);
+}
+
+ObjectiveEvaluator::ObjectiveEvaluator(const ParInstance* instance,
+                                       const std::vector<PhotoId>& selection)
+    : ObjectiveEvaluator(instance) {
+  for (PhotoId p : selection) {
+    if (!IsSelected(p)) Add(p);
+  }
 }
 
 ObjectiveEvaluator::ObjectiveEvaluator(const ObjectiveEvaluator& other)
@@ -35,14 +44,6 @@ ObjectiveEvaluator& ObjectiveEvaluator::operator=(
   gain_evaluations_.store(other.gain_evaluations(),
                           std::memory_order_relaxed);
   return *this;
-}
-
-void ObjectiveEvaluator::Reset() {
-  best_sim_.assign(instance_->total_members(), 0.0f);
-  selected_.assign(instance_->num_photos(), false);
-  num_selected_ = 0;
-  selected_cost_ = 0;
-  score_ = 0.0;
 }
 
 namespace {
@@ -154,6 +155,47 @@ double ObjectiveEvaluator::Add(PhotoId p) {
   return gain;
 }
 
+void ObjectiveEvaluator::CoverWithout(SubsetId q, PhotoId p,
+                                      float* best) const {
+  const Subset& subset = instance_->subset(q);
+  std::fill(best, best + subset.size(), 0.0f);
+  for (std::uint32_t i = 0; i < subset.size(); ++i) {
+    const PhotoId member = subset.members[i];
+    if (member != p && selected_[member]) MembershipAdd(subset, i, best);
+  }
+}
+
+double ObjectiveEvaluator::RemovalLoss(PhotoId p) const {
+  PHOCUS_CHECK(p < instance_->num_photos() && selected_[p],
+               "photo is not selected");
+  gain_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  double loss = 0.0;
+  std::vector<float> without;
+  for (const Membership& membership : instance_->memberships(p)) {
+    const Subset& subset = instance_->subset(membership.subset);
+    without.resize(subset.size());
+    CoverWithout(membership.subset, p, without.data());
+    loss += subset.weight *
+            (SubsetScore(membership.subset) -
+             kernels::WeightedSum(subset.relevance.data(), without.data(),
+                                  subset.size()));
+  }
+  return loss;
+}
+
+double ObjectiveEvaluator::Remove(PhotoId p) {
+  const double loss = RemovalLoss(p);
+  for (const Membership& membership : instance_->memberships(p)) {
+    CoverWithout(membership.subset, p,
+                 best_sim_.data() + instance_->member_offset(membership.subset));
+  }
+  selected_[p] = false;
+  --num_selected_;
+  selected_cost_ -= instance_->cost(p);
+  score_ -= loss;
+  return loss;
+}
+
 double ObjectiveEvaluator::SubsetScore(SubsetId q) const {
   PHOCUS_CHECK(q < instance_->num_subsets(), "subset id out of range");
   const Subset& subset = instance_->subset(q);
@@ -163,11 +205,7 @@ double ObjectiveEvaluator::SubsetScore(SubsetId q) const {
 
 double ObjectiveEvaluator::Evaluate(const ParInstance& instance,
                                     const std::vector<PhotoId>& selection) {
-  ObjectiveEvaluator evaluator(&instance);
-  for (PhotoId p : selection) {
-    if (!evaluator.IsSelected(p)) evaluator.Add(p);
-  }
-  return evaluator.score();
+  return ObjectiveEvaluator(&instance, selection).score();
 }
 
 double ObjectiveEvaluator::MaxScore(const ParInstance& instance) {

@@ -15,12 +15,13 @@
 /// (`best_sim[q][j] = SIM(q, p_j, NN(q, p_j, S))`, or 0 when S∩q = ∅).
 /// Adding photo p touches only the subsets containing p, so a marginal-gain
 /// probe costs O(Σ_{q∋p} |q|) dense / O(deg(p)) sparse — the property that
-/// makes lazy greedy fast (§4.2).
+/// makes lazy greedy fast (§4.2). Removing p likewise touches only the
+/// subsets containing p: each is re-covered from its other selected members.
 ///
 /// best_sim is stored as ONE flat arena (`total_members()` floats) indexed
 /// by `member_offset(q) + local_j`, not a vector per subset: a gain probe
-/// streams each subset's slice contiguously, Reset is a single fill, and
-/// copying the evaluator (branch-and-bound snapshots) is a single memcpy.
+/// streams each subset's slice contiguously, construction is a single fill,
+/// and copying the evaluator (branch-and-bound snapshots) is a single memcpy.
 
 namespace phocus {
 
@@ -30,20 +31,29 @@ class ObjectiveEvaluator {
   /// the instance's membership index (see the EAGER-BUILD CONTRACT in
   /// instance.h), so evaluators may be probed concurrently afterwards.
   explicit ObjectiveEvaluator(const ParInstance* instance);
+  /// The evaluator of `selection`, added in order (duplicates skipped).
+  ObjectiveEvaluator(const ParInstance* instance,
+                     const std::vector<PhotoId>& selection);
 
   /// Copyable (branch-and-bound snapshots evaluator state); the atomic
   /// evaluation counter is copied by value.
   ObjectiveEvaluator(const ObjectiveEvaluator& other);
   ObjectiveEvaluator& operator=(const ObjectiveEvaluator& other);
 
-  /// Returns to the empty selection.
-  void Reset();
-
   /// Marginal gain G(S ∪ {p}) − G(S) without modifying state.
   double GainOf(PhotoId p) const;
 
   /// Adds p to the selection; returns the realized gain.
   double Add(PhotoId p);
+
+  /// Removal loss G(S) − G(S ∖ {p}) of a selected photo, without modifying
+  /// state. Counts one gain evaluation.
+  double RemovalLoss(PhotoId p) const;
+
+  /// Removes a selected photo; returns the realized loss. Afterwards every
+  /// GainOf and SubsetScore equals a fresh evaluator's on S ∖ {p} bit for
+  /// bit (best-sims are maxima over floats, which ignore order).
+  double Remove(PhotoId p);
 
   /// Current G(S).
   double score() const { return score_; }
@@ -53,9 +63,9 @@ class ObjectiveEvaluator {
   std::size_t num_selected() const { return num_selected_; }
   Cost selected_cost() const { return selected_cost_; }
 
-  /// Number of GainOf/Add gain computations performed (the paper's
-  /// "number of times it evaluates the gain" metric). Counted with relaxed
-  /// atomics so concurrent const probes (parallel CELF rounds) are
+  /// Number of GainOf/Add/RemovalLoss/Remove computations performed (the
+  /// paper's "number of times it evaluates the gain" metric). Counted with
+  /// relaxed atomics so concurrent const probes (parallel CELF rounds) are
   /// race-free.
   std::size_t gain_evaluations() const {
     return gain_evaluations_.load(std::memory_order_relaxed);
@@ -74,6 +84,9 @@ class ObjectiveEvaluator {
   static double MaxScore(const ParInstance& instance);
 
  private:
+  /// Rewrites q's best-sim slice `best` from q's selected members except p.
+  void CoverWithout(SubsetId q, PhotoId p, float* best) const;
+
   const ParInstance* instance_;
   /// Flat best-sim arena: subset q's members occupy
   /// [member_offset(q), member_offset(q) + |q|).

@@ -51,10 +51,7 @@ double ResidualKnapsack(const ParInstance& instance,
 
 OnlineBound ComputeOnlineBound(const ParInstance& instance,
                                const std::vector<PhotoId>& selection) {
-  ObjectiveEvaluator evaluator(&instance);
-  for (PhotoId p : selection) {
-    if (!evaluator.IsSelected(p)) evaluator.Add(p);
-  }
+  ObjectiveEvaluator evaluator(&instance, selection);
   const double extra = ResidualKnapsack(instance, evaluator);
 
   OnlineBound bound;

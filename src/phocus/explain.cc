@@ -19,10 +19,8 @@ RetainedExplanation ExplainRetained(const ParInstance& instance,
   explanation.photo = photo;
   explanation.required = instance.IsRequired(photo);
 
-  std::vector<bool> retained(instance.num_photos(), false);
-  for (PhotoId p : selection) retained[p] = true;
-
-  instance.BuildMembershipIndex();
+  const ObjectiveEvaluator evaluator(&instance, selection);
+  const std::vector<bool>& retained = evaluator.selected();
   for (const Membership& membership : instance.memberships(photo)) {
     const Subset& q = instance.subset(membership.subset);
     RetainedResponsibility responsibility;
@@ -60,14 +58,7 @@ RetainedExplanation ExplainRetained(const ParInstance& instance,
             });
 
   // Exact removal loss (members fall back to their runner-up).
-  std::vector<PhotoId> without;
-  without.reserve(selection.size() - 1);
-  for (PhotoId p : selection) {
-    if (p != photo) without.push_back(p);
-  }
-  explanation.removal_loss =
-      ObjectiveEvaluator::Evaluate(instance, selection) -
-      ObjectiveEvaluator::Evaluate(instance, without);
+  explanation.removal_loss = evaluator.RemovalLoss(photo);
   return explanation;
 }
 
@@ -81,10 +72,8 @@ ArchivedExplanation ExplainArchived(const ParInstance& instance,
   ArchivedExplanation explanation;
   explanation.photo = photo;
 
-  std::vector<bool> retained(instance.num_photos(), false);
-  for (PhotoId p : selection) retained[p] = true;
-
-  instance.BuildMembershipIndex();
+  const ObjectiveEvaluator evaluator(&instance, selection);
+  const std::vector<bool>& retained = evaluator.selected();
   for (const Membership& membership : instance.memberships(photo)) {
     const Subset& q = instance.subset(membership.subset);
     ArchivedRepresentative representative;
@@ -111,8 +100,6 @@ ArchivedExplanation ExplainArchived(const ParInstance& instance,
             });
 
   // Gain if brought back.
-  ObjectiveEvaluator evaluator(&instance);
-  for (PhotoId p : selection) evaluator.Add(p);
   explanation.return_gain = evaluator.GainOf(photo);
   return explanation;
 }

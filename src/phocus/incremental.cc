@@ -9,9 +9,9 @@
 #include "core/online_bound.h"
 #include "phocus/representation.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace phocus {
 
@@ -48,6 +48,42 @@ ArchivePlan MakePlan(const ParInstance& instance, SolverResult result,
 }
 
 }  // namespace
+
+std::vector<PhotoId> FitSeedToBudget(const ParInstance& instance,
+                                     std::vector<PhotoId>& seed,
+                                     IncrementalUpdateStats* stats) {
+  ObjectiveEvaluator evaluator(&instance, seed);
+  for (PhotoId p : instance.RequiredPhotos()) {
+    if (!evaluator.IsSelected(p)) {
+      evaluator.Add(p);
+      seed.push_back(p);
+    }
+  }
+  std::vector<PhotoId> victims;
+  while (evaluator.selected_cost() > instance.budget()) {
+    double best_density = std::numeric_limits<double>::infinity();
+    std::size_t victim_index = seed.size();
+    for (std::size_t i = 0; i < seed.size(); ++i) {
+      if (instance.IsRequired(seed[i])) continue;
+      const double density = evaluator.RemovalLoss(seed[i]) /
+                             static_cast<double>(instance.cost(seed[i]));
+      if (density < best_density) {
+        best_density = density;
+        victim_index = i;
+      }
+    }
+    PHOCUS_CHECK(victim_index < seed.size(),
+                 "no evictable photo left although S0 fits the budget");
+    victims.push_back(seed[victim_index]);
+    evaluator.Remove(seed[victim_index]);
+    seed.erase(seed.begin() + static_cast<std::ptrdiff_t>(victim_index));
+  }
+  if (stats != nullptr) {
+    stats->evicted_for_feasibility = victims.size();
+    stats->gain_evaluations += evaluator.gain_evaluations();
+  }
+  return victims;
+}
 
 IncrementalArchiver::IncrementalArchiver(IncrementalOptions options)
     : options_(std::move(options)) {
@@ -207,7 +243,8 @@ void IncrementalArchiver::SetBudgetDeferred(Cost budget) {
 
 void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
   PHOCUS_FAILPOINT("incremental.replan");
-  Stopwatch timer;
+  telemetry::TraceSpan span("incremental.replan");
+  telemetry::TraceSpan build("incremental.stage.build_instance");
   const ParInstance instance =
       BuildInstance(corpus_, options_.archive.budget,
                     options_.archive.representation);
@@ -223,76 +260,34 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
             " bytes");
   }
   instance.Validate();
+  build.Close();
 
   // Seed with what we previously retained (dropping nothing silently; the
   // previous retained ids are stable because appends never renumber).
   std::vector<PhotoId> seed = plan_.retained;
-  // New S0 members must be present.
-  for (PhotoId p : corpus_.required) {
-    if (std::find(seed.begin(), seed.end(), p) == seed.end()) {
-      seed.push_back(p);
-    }
-  }
+  telemetry::TraceSpan evict("incremental.stage.evict");
+  FitSeedToBudget(instance, seed, stats);
+  evict.Close();
 
-  // Feasibility eviction: drop the cheapest-to-lose photos (marginal
-  // contribution per byte) until the seed fits the budget.
-  Cost seed_cost = 0;
-  for (PhotoId p : seed) seed_cost += instance.cost(p);
-  while (seed_cost > instance.budget()) {
-    const double full_score = ObjectiveEvaluator::Evaluate(instance, seed);
-    double best_density = std::numeric_limits<double>::infinity();
-    std::size_t victim_index = seed.size();
-    for (std::size_t i = 0; i < seed.size(); ++i) {
-      if (instance.IsRequired(seed[i])) continue;
-      std::vector<PhotoId> without;
-      without.reserve(seed.size() - 1);
-      for (std::size_t j = 0; j < seed.size(); ++j) {
-        if (j != i) without.push_back(seed[j]);
-      }
-      const double loss =
-          full_score - ObjectiveEvaluator::Evaluate(instance, without);
-      const double density =
-          loss / static_cast<double>(instance.cost(seed[i]));
-      if (density < best_density) {
-        best_density = density;
-        victim_index = i;
-      }
-    }
-    if (victim_index >= seed.size()) {
-      // Only required photos remain and they still exceed the budget: no
-      // feasible plan exists. Surface a typed error (not a CHECK failure)
-      // and leave the previous plan untouched so the caller can recover.
-      Cost required_cost = 0;
-      for (PhotoId p : seed) {
-        if (instance.IsRequired(p)) required_cost += instance.cost(p);
-      }
-      throw InfeasibleBudgetError(
-          required_cost, instance.budget(),
-          "infeasible: required set S0 costs " + std::to_string(required_cost) +
-              " bytes, above the budget of " +
-              std::to_string(instance.budget()) + " bytes");
-    }
-    if (stats != nullptr) ++stats->evicted_for_feasibility;
-    seed_cost -= instance.cost(seed[victim_index]);
-    seed.erase(seed.begin() + static_cast<std::ptrdiff_t>(victim_index));
-  }
-
-  // Top-up with the arrivals (and anything newly worthwhile).
+  // Top-up with the arrivals (and anything newly worthwhile), then one swap
+  // local-search pass to rebalance old vs new.
+  telemetry::TraceSpan top_up("incremental.stage.top_up");
   SolverResult result =
       LazyGreedyFrom(instance, GreedyRule::kCostBenefit, CelfOptions{}, seed);
-  if (options_.rebalance) {
-    LocalSearchOptions ls;
-    ls.max_passes = 1;
-    ImproveByLocalSearch(instance, result, ls);
-  }
+  top_up.Close();
+  telemetry::TraceSpan rebalance("incremental.stage.rebalance");
+  LocalSearchOptions ls;
+  ls.max_passes = 1;
+  ImproveByLocalSearch(instance, result, ls);
+  rebalance.Close();
   result.solver_name = "PHOcus-incremental";
-  if (stats != nullptr) stats->gain_evaluations = result.gain_evaluations;
+  if (stats != nullptr) stats->gain_evaluations += result.gain_evaluations;
   plan_ = MakePlan(instance, std::move(result), options_.archive);
   deferred_photos_ = 0;  // every deferred arrival is now in the plan
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.replans")
       .Increment();
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
+  if (stats != nullptr) stats->seconds = span.ElapsedSeconds();
 }
 
 }  // namespace phocus

@@ -19,10 +19,10 @@
 ///
 ///   1. seed the solution with the previously retained photos,
 ///   2. if the seed no longer fits (budget shrank or retention costs grew),
-///      evict retained photos in ascending marginal-contribution density
-///      until feasible (required photos are never evicted),
+///      evict retained photos in ascending removal loss per byte until
+///      feasible (required photos are never evicted),
 ///   3. greedily top up with the new arrivals (CELF from the seed),
-///   4. optionally run one swap local-search pass to rebalance old vs new.
+///   4. run one swap local-search pass to rebalance old vs new.
 ///
 /// The incremental plan is feasible by construction; tests verify it stays
 /// within a few percent of a from-scratch solve across update streams, at a
@@ -53,20 +53,26 @@ class InfeasibleBudgetError : public CheckFailure {
 
 struct IncrementalOptions {
   ArchiveOptions archive;
-  /// Run one local-search rebalancing pass after each update.
-  bool rebalance = true;
 };
 
 struct IncrementalUpdateStats {
   std::size_t photos_added = 0;
   std::size_t subsets_added = 0;
   std::size_t evicted_for_feasibility = 0;
-  /// Gain evaluations spent by the top-up pass (the solver-side work; a
-  /// from-scratch Algorithm 1 run spends several times more — the
-  /// representation build is shared by both paths).
+  /// Gain evaluations spent by eviction, top-up and rebalance (the
+  /// solver-side work; a from-scratch Algorithm 1 run spends several times
+  /// more — the representation build is shared by both paths).
   std::size_t gain_evaluations = 0;
+  /// Wall time of the replan, read off its `incremental.replan` span.
   double seconds = 0.0;
 };
+
+/// Steps 1–2 above: appends the S0 members `seed` lacks, then evicts until it
+/// fits instance.budget() (S0 must fit). Returns the victims in order;
+/// `stats` (if given) counts them and the gain evaluations spent.
+std::vector<PhotoId> FitSeedToBudget(const ParInstance& instance,
+                                     std::vector<PhotoId>& seed,
+                                     IncrementalUpdateStats* stats = nullptr);
 
 class IncrementalArchiver {
  public:
@@ -118,8 +124,8 @@ class IncrementalArchiver {
 
   /// Certified upper bound on how much a replan could improve on the current
   /// retained set under the current (possibly deferred-grown) corpus and
-  /// budget. Pure query — no plan mutation. Reuses the LSH cache, so the
-  /// representation build is incremental like a replan's.
+  /// budget. Pure query — no plan mutation; it builds the instance the way
+  /// a replan does.
   DriftEstimate EstimateDrift();
 
   /// Replans now against the current corpus/budget — the explicit trigger

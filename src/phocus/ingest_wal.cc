@@ -132,7 +132,7 @@ std::string EncodeCheckpointBody(const WalCheckpoint& checkpoint) {
   writer.WriteU64(0xfeed);
   writer.WriteU8(archive.compute_online_bound ? 1 : 0);
   writer.WriteU64(archive.coverage_rows);
-  writer.WriteU8(checkpoint.incremental.rebalance ? 1 : 0);
+  writer.WriteU8(1);  // retired rebalance flag, written as its only value
   WritePolicy(writer, checkpoint.policy);
   writer.WriteString(EncodeCorpus(checkpoint.corpus));
   std::vector<std::uint32_t> retained(checkpoint.retained.begin(),
@@ -166,7 +166,7 @@ WalCheckpoint DecodeCheckpointBody(std::string_view body,
   reader.ReadU64();
   archive.compute_online_bound = reader.ReadU8() != 0;
   archive.coverage_rows = static_cast<std::size_t>(reader.ReadU64());
-  checkpoint.incremental.rebalance = reader.ReadU8() != 0;
+  reader.ReadU8();  // retired rebalance flag: ignored
   checkpoint.policy = ReadPolicy(reader);
   checkpoint.corpus = DecodeCorpus(reader.ReadString());
   for (std::uint32_t p : reader.ReadU32Vector()) {

@@ -86,8 +86,7 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
     telemetry::TraceSpan coverage_stage(
         "system.stage.coverage",
         &registry.GetHistogram("system.stage.coverage_ns"));
-    ObjectiveEvaluator evaluator(&instance);
-    for (PhotoId p : plan.solver_result.selected) evaluator.Add(p);
+    ObjectiveEvaluator evaluator(&instance, plan.solver_result.selected);
     std::vector<SubsetId> order(instance.num_subsets());
     for (SubsetId q = 0; q < instance.num_subsets(); ++q) order[q] = q;
     std::sort(order.begin(), order.end(), [&](SubsetId a, SubsetId b) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/instance.h"
 #include "core/objective.h"
 #include "tests/test_support.h"
@@ -224,12 +226,13 @@ TEST(ObjectiveTest, EvaluateIgnoresDuplicatesInInput) {
   EXPECT_DOUBLE_EQ(once, twice);
 }
 
-TEST(ObjectiveTest, ResetClearsState) {
+TEST(ObjectiveTest, RemoveClearsState) {
   const ParInstance instance = MakeFigure1Instance();
   ObjectiveEvaluator evaluator(&instance);
   evaluator.Add(0);
-  evaluator.Reset();
-  EXPECT_DOUBLE_EQ(evaluator.score(), 0.0);
+  EXPECT_NEAR(evaluator.Remove(0), 7.83, 1e-6);
+  EXPECT_NEAR(evaluator.score(), 0.0, 1e-12);
+  EXPECT_EQ(evaluator.num_selected(), 0u);
   EXPECT_FALSE(evaluator.IsSelected(0));
   EXPECT_NEAR(evaluator.GainOf(0), 7.83, 1e-6);
 }
@@ -278,6 +281,71 @@ TEST_P(ObjectivePropertyTest, SubmodularDiminishingReturns) {
     for (std::size_t i = 0; i < t_size; ++i) large.Add(order[i]);
     EXPECT_GE(small.GainOf(v) + 1e-9, large.GainOf(v))
         << "submodularity violated at trial " << trial;
+  }
+}
+
+TEST_P(ObjectivePropertyTest, RemovalLossMatchesReevaluation) {
+  // Every storage mode, with S0 in the selection and tied similarities
+  // (dense/sparse values on four levels; uniform subsets tie everywhere).
+  for (const Subset::SimMode mode :
+       {Subset::SimMode::kUniform, Subset::SimMode::kDense,
+        Subset::SimMode::kSparse}) {
+    RandomInstanceOptions options;
+    options.num_photos = 16;
+    options.num_subsets = 8;
+    options.max_subset_size = 8;
+    options.required_fraction = 0.2;
+    options.sim_sparsity = 0.3;
+    options.sim_levels = 4;
+    options.sim_mode = mode;
+    const ParInstance instance = MakeRandomInstance(GetParam(), options);
+    ASSERT_FALSE(instance.RequiredPhotos().empty());
+    Rng rng(GetParam() ^ 0x5e1ec7ULL);
+    std::vector<PhotoId> selection = instance.RequiredPhotos();
+    std::vector<PhotoId> others;
+    for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+      if (!instance.IsRequired(p)) others.push_back(p);
+    }
+    rng.Shuffle(others);
+    // Leave at least one photo out, to probe the unselected case.
+    const std::size_t extra = 1 + rng.NextBelow(others.size() - 1);
+    selection.insert(selection.end(), others.begin(), others.begin() + extra);
+    const PhotoId outside = others.back();
+
+    ObjectiveEvaluator evaluator(&instance);
+    for (PhotoId p : selection) evaluator.Add(p);
+    const double full = ObjectiveEvaluator::Evaluate(instance, selection);
+    for (PhotoId victim : selection) {
+      std::vector<PhotoId> without;
+      for (PhotoId p : selection) {
+        if (p != victim) without.push_back(p);
+      }
+      const double expected =
+          full - ObjectiveEvaluator::Evaluate(instance, without);
+      EXPECT_NEAR(evaluator.RemovalLoss(victim), expected,
+                  1e-12 * std::max(1.0, full))
+          << "victim " << victim;
+
+      ObjectiveEvaluator removed = evaluator;
+      const std::size_t evals = removed.gain_evaluations();
+      EXPECT_EQ(removed.Remove(victim), evaluator.RemovalLoss(victim));
+      EXPECT_EQ(removed.gain_evaluations(), evals + 1);
+      EXPECT_FALSE(removed.IsSelected(victim));
+      ObjectiveEvaluator fresh(&instance);
+      for (PhotoId p : without) fresh.Add(p);
+      EXPECT_EQ(removed.num_selected(), fresh.num_selected());
+      EXPECT_EQ(removed.selected_cost(), fresh.selected_cost());
+      EXPECT_NEAR(removed.score(), fresh.score(), 1e-12 * std::max(1.0, full));
+      for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+        EXPECT_EQ(removed.GainOf(p), fresh.GainOf(p)) << "photo " << p;
+      }
+      for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
+        EXPECT_EQ(removed.SubsetScore(q), fresh.SubsetScore(q))
+            << "subset " << q;
+      }
+    }
+    EXPECT_THROW(evaluator.RemovalLoss(outside), CheckFailure);
+    EXPECT_THROW(evaluator.Remove(outside), CheckFailure);
   }
 }
 

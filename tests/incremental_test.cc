@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/objective.h"
 #include "datagen/corpus_ops.h"
@@ -47,6 +48,46 @@ Stream SplitCorpus(const Corpus& corpus, std::size_t initial_count) {
     if (touches_new) stream.new_subsets.push_back(spec);
   }
   return stream;
+}
+
+/// Reference feasibility eviction without ObjectiveEvaluator::RemovalLoss:
+/// every round re-evaluates G(S) and each G(S ∖ {p}) from scratch.
+std::vector<PhotoId> ReevaluationEviction(const ParInstance& instance,
+                                          std::vector<PhotoId>& seed) {
+  for (PhotoId p : instance.RequiredPhotos()) {
+    if (std::find(seed.begin(), seed.end(), p) == seed.end()) {
+      seed.push_back(p);
+    }
+  }
+  std::vector<PhotoId> victims;
+  Cost seed_cost = 0;
+  for (PhotoId p : seed) seed_cost += instance.cost(p);
+  while (seed_cost > instance.budget()) {
+    const double full_score = ObjectiveEvaluator::Evaluate(instance, seed);
+    double best_density = std::numeric_limits<double>::infinity();
+    std::size_t victim_index = seed.size();
+    for (std::size_t i = 0; i < seed.size(); ++i) {
+      if (instance.IsRequired(seed[i])) continue;
+      std::vector<PhotoId> without;
+      for (std::size_t j = 0; j < seed.size(); ++j) {
+        if (j != i) without.push_back(seed[j]);
+      }
+      const double loss =
+          full_score - ObjectiveEvaluator::Evaluate(instance, without);
+      const double density =
+          loss / static_cast<double>(instance.cost(seed[i]));
+      if (density < best_density) {
+        best_density = density;
+        victim_index = i;
+      }
+    }
+    EXPECT_LT(victim_index, seed.size());
+    if (victim_index >= seed.size()) break;
+    victims.push_back(seed[victim_index]);
+    seed_cost -= instance.cost(seed[victim_index]);
+    seed.erase(seed.begin() + static_cast<std::ptrdiff_t>(victim_index));
+  }
+  return victims;
 }
 
 TEST(IncrementalTest, InitializeMatchesSystemPlan) {
@@ -108,6 +149,38 @@ TEST(IncrementalTest, BudgetShrinkEvictsUntilFeasible) {
   EXPECT_GT(stats.evicted_for_feasibility, 0u);
   EXPECT_LT(squeezed.score, generous_score);
   EXPECT_GT(squeezed.score, 0.0);
+}
+
+TEST(IncrementalTest, EvictionMatchesReevaluationReference) {
+  for (std::uint64_t seed : {21u, 22u, 23u}) {
+    OpenImagesOptions generate = SmallOptions(seed, 150);
+    generate.required_fraction = 0.1;  // S0 members stay in every seed
+    const Corpus corpus = GenerateOpenImagesCorpus(generate);
+    IncrementalOptions options;
+    options.archive.budget = corpus.TotalBytes() * 3 / 10;
+    IncrementalArchiver archiver(options);
+    const std::vector<PhotoId> retained = archiver.Initialize(corpus).retained;
+    for (double shrink : {0.02, 0.10, 0.25}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << ", shrink " << shrink);
+      const Cost budget = static_cast<Cost>(
+          (1.0 - shrink) * static_cast<double>(options.archive.budget));
+      const ParInstance instance =
+          BuildInstance(corpus, budget, options.archive.representation);
+      std::vector<PhotoId> reference_seed = retained;
+      const std::vector<PhotoId> expected =
+          ReevaluationEviction(instance, reference_seed);
+      EXPECT_FALSE(expected.empty());
+      std::vector<PhotoId> fitted = retained;
+      EXPECT_EQ(FitSeedToBudget(instance, fitted), expected);
+      EXPECT_EQ(fitted, reference_seed);
+
+      IncrementalArchiver shrunk = archiver;
+      IncrementalUpdateStats stats;
+      shrunk.SetBudget(budget, &stats);
+      EXPECT_EQ(stats.evicted_for_feasibility, expected.size());
+    }
+  }
 }
 
 TEST(IncrementalTest, NewRequiredPhotosJoinTheRetainedSet) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -370,6 +371,56 @@ TEST_F(ObservabilityTest, SlowPlanRequestRecordsFullSpanTree) {
     EXPECT_NE(std::find(names.begin(), names.end(),
                         "service.session.solve"),
               names.end());
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
+  ServerOptions options;
+  options.slow_request_ms = 0.0001;
+  StartServer(options);
+  ServiceClient client = Connect();
+  const std::string session = client.CreateSession(CorpusSpec(9));
+  // The first set_budget solves the session from scratch; the shrink after
+  // it replans incrementally.
+  for (const std::int64_t budget : {1'500'000, 1'200'000}) {
+    Json params = Json::Object();
+    params.Set("session", session);
+    params.Set("budget", budget);
+    client.Call("set_budget", std::move(params));
+  }
+  const std::string request_id = client.last_request_id();
+
+  std::function<const telemetry::SpanRecord*(const telemetry::SpanRecord&)>
+      find_replan = [&](const telemetry::SpanRecord& span)
+      -> const telemetry::SpanRecord* {
+    if (span.name == "incremental.replan") return &span;
+    for (const telemetry::SpanRecord& child : span.children) {
+      if (const telemetry::SpanRecord* found = find_replan(child)) {
+        return found;
+      }
+    }
+    return nullptr;
+  };
+  const Json slow = client.Metrics().Get("slow_requests");
+  bool found = false;
+  for (const Json& record : slow.items()) {
+    if (record.Get("request_id").AsString() != request_id) continue;
+    found = true;
+    const std::vector<telemetry::SpanRecord> spans =
+        telemetry::SpansFromJson(record.Get("spans"));
+    ASSERT_EQ(spans.size(), 1u);
+    const telemetry::SpanRecord* replan = find_replan(spans[0]);
+    ASSERT_NE(replan, nullptr);
+    std::vector<std::string> stages;
+    for (const telemetry::SpanRecord& child : replan->children) {
+      stages.push_back(child.name);
+    }
+    EXPECT_EQ(stages, (std::vector<std::string>{
+                          "incremental.stage.build_instance",
+                          "incremental.stage.evict",
+                          "incremental.stage.top_up",
+                          "incremental.stage.rebalance"}));
   }
   EXPECT_TRUE(found);
 }

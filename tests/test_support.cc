@@ -1,6 +1,7 @@
 #include "tests/test_support.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/objective.h"
 #include "util/logging.h"
@@ -79,6 +80,12 @@ ParInstance MakeFigure1Instance(Cost budget) {
 ParInstance MakeRandomInstance(std::uint64_t seed,
                                const RandomInstanceOptions& options) {
   Rng rng(seed);
+  const auto draw_sim = [&] {
+    const float sim = static_cast<float>(rng.UniformDouble());
+    if (options.sim_levels <= 0) return sim;
+    const float levels = static_cast<float>(options.sim_levels);
+    return std::ceil(sim * levels) / levels;
+  };
   std::vector<Cost> costs(options.num_photos);
   for (Cost& c : costs) {
     c = static_cast<Cost>(rng.UniformInt(static_cast<std::int64_t>(options.cost_lo),
@@ -109,9 +116,7 @@ ParInstance MakeRandomInstance(std::uint64_t seed,
       for (std::size_t i = 0; i < m; ++i) {
         q.dense_sim[i * m + i] = 1.0f;
         for (std::size_t j = i + 1; j < m; ++j) {
-          float sim = rng.Bernoulli(options.sim_sparsity)
-                          ? 0.0f
-                          : static_cast<float>(rng.UniformDouble());
+          float sim = rng.Bernoulli(options.sim_sparsity) ? 0.0f : draw_sim();
           q.dense_sim[i * m + j] = sim;
           q.dense_sim[j * m + i] = sim;
         }
@@ -121,7 +126,7 @@ ParInstance MakeRandomInstance(std::uint64_t seed,
       for (std::uint32_t i = 0; i < m; ++i) {
         for (std::uint32_t j = i + 1; j < m; ++j) {
           if (rng.Bernoulli(options.sim_sparsity)) continue;
-          const float sim = static_cast<float>(rng.UniformDouble());
+          const float sim = draw_sim();
           if (sim <= 0.0f) continue;  // sparse entries must be in (0, 1]
           rows[i].emplace_back(j, sim);
           rows[j].emplace_back(i, sim);

@@ -32,6 +32,9 @@ struct RandomInstanceOptions {
   double budget_fraction = 0.4;
   double required_fraction = 0.0;
   double sim_sparsity = 0.0;  ///< fraction of off-diagonal sims forced to 0
+  /// When > 0, off-diagonal sims are rounded up to multiples of
+  /// 1/sim_levels, so many members tie for their best neighbor.
+  int sim_levels = 0;
   /// Similarity storage for the generated subsets: kDense keeps the full
   /// matrix, kSparse stores the same nonzero entries as CSR neighbor lists
   /// (combine with sim_sparsity for genuinely sparse rows), kUniform drops
