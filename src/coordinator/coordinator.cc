@@ -139,11 +139,6 @@ CoordinatorServer::CoordinatorServer(CoordinatorOptions options)
 }
 
 void CoordinatorServer::Start() {
-  PHOCUS_CHECK(fanout_pool_ == nullptr, "Start called twice");
-  const std::size_t workers = options_.fanout_workers > 0
-                                  ? options_.fanout_workers
-                                  : options_.shards.size();
-  fanout_pool_ = std::make_unique<ThreadPool>(workers);
   core_.Start();
   PHOCUS_LOG(kInfo) << "phocus_coordinator listening on " << options_.host
                     << ":" << port() << " fronting " << options_.shards.size()
@@ -320,7 +315,7 @@ std::vector<CoordinatorServer::ShardReply> CoordinatorServer::FanOut(
   registry.GetCounter("coordinator.fanouts").Increment();
   std::vector<ShardReply> replies(pool_->size());
   const Stopwatch timer;
-  fanout_pool_->ParallelFor(pool_->size(), [&](std::size_t shard) {
+  for (std::size_t shard = 0; shard < replies.size(); ++shard) {
     try {
       replies[shard].result =
           pool_->Call(shard, endpoint, params, request_id, /*idempotent=*/true);
@@ -330,7 +325,7 @@ std::vector<CoordinatorServer::ShardReply> CoordinatorServer::FanOut(
     } catch (const CheckFailure& failure) {
       replies[shard].error = failure.what();
     }
-  });
+  }
   registry.GetHistogram("coordinator.fanout_ns")
       .Record(static_cast<double>(timer.ElapsedNanos()));
   std::size_t failed = 0;

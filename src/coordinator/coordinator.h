@@ -11,7 +11,6 @@
 #include "service/frame_server.h"
 #include "service/protocol.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 /// \file coordinator.h
 /// phocus_coordinator: a stateless router in front of N phocusd shards.
@@ -29,7 +28,7 @@
 ///    explain, session_info, archive_to_vault, close_session) parses the
 ///    scoped id back into (shard, local id) and proxies directly — the
 ///    coordinator holds no session table,
-///  - `stats`, `metrics` and `healthz` fan out to every shard in parallel
+///  - `stats`, `metrics` and `healthz` fan out to every shard in turn
 ///    and merge: counters sum, health rolls up to the worst shard state,
 ///    and unreachable shards flip `degraded: true` instead of failing the
 ///    whole call,
@@ -61,8 +60,6 @@ struct CoordinatorOptions {
   /// desynchronizes instead of thundering.
   service::RetryPolicy retry;
   std::size_t max_frame_bytes = service::kDefaultMaxFrameBytes;
-  /// Fan-out worker threads; 0 sizes to the shard count.
-  std::size_t fanout_workers = 0;
   /// Injectable clock for the shard health machine (tests).
   std::function<double()> now_ms;
 };
@@ -120,7 +117,7 @@ class CoordinatorServer {
     Json result;          ///< valid when ok
     std::string error;    ///< human-readable when !ok
   };
-  /// Calls `endpoint` on every shard in parallel; one entry per shard.
+  /// Calls `endpoint` on every shard in turn; one entry per shard.
   std::vector<ShardReply> FanOut(const std::string& endpoint,
                                  const Json& params,
                                  const std::string& request_id);
@@ -132,7 +129,6 @@ class CoordinatorServer {
   CoordinatorOptions options_;
   HashRing ring_;
   std::unique_ptr<ShardPool> pool_;
-  std::unique_ptr<ThreadPool> fanout_pool_;
   /// Declared last: its destructor drains connection threads that still
   /// call into the members above.
   service::FrameServer core_;

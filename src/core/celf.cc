@@ -207,14 +207,17 @@ SolverResult CelfSolver::Solve(const ParInstance& instance) {
   SolverResult uc;
   SolverResult cb;
   if (options_.concurrent_passes) {
-    // The passes run on a dedicated thread + the caller (not pool workers,
-    // which would serialize their nested ParallelFor fan-outs); their
-    // ParallelFor calls interleave safely on the shared pool because
-    // completion is tracked per call.
-    std::thread uc_thread(
-        [&] { uc = LazyGreedy(instance, GreedyRule::kUnitCost, options_); });
+    // UC runs on a thread of its own and CB on the caller, not on pool
+    // workers (which run nested fan-outs inline); both fan out on the shared
+    // pool, which tracks completion per call. UC's pass span joins this tree.
+    telemetry::TraceCollector uc_trace;
+    std::thread uc_thread([&] {
+      telemetry::ScopedTraceSink sink(&uc_trace);
+      uc = LazyGreedy(instance, GreedyRule::kUnitCost, options_);
+    });
     cb = LazyGreedy(instance, GreedyRule::kCostBenefit, options_);
     uc_thread.join();
+    for (auto& pass : uc_trace.Drain()) span.AdoptChild(std::move(pass));
   } else {
     uc = LazyGreedy(instance, GreedyRule::kUnitCost, options_);
     cb = LazyGreedy(instance, GreedyRule::kCostBenefit, options_);

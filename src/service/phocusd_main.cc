@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
         "phocusd: PHOcus archive-planning daemon\n"
         "  --host=ADDR        bind address (default 127.0.0.1)\n"
         "  --port=N           TCP port; 0 picks an ephemeral one (default 7411)\n"
-        "  --workers=N        solver worker threads; 0 = hardware (default 0)\n"
+        "  --workers=N        requests solved at once; 0 = hardware (default 0)\n"
         "  --queue=N          admission bound on outstanding requests (default 64)\n"
         "  --cache=N          plan-cache capacity in plans (default 32)\n"
         "  --deadline-ms=F    default per-request deadline; 0 = none\n"

@@ -1,10 +1,10 @@
 #include "service/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
 #include <thread>
 
 #include "datagen/corpus_io.h"
@@ -163,13 +163,12 @@ Json SlowRequestLog::Snapshot() const {
   return out;
 }
 
-std::size_t SlowRequestLog::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
 ServiceServer::ServiceServer(ServerOptions options)
     : options_(std::move(options)),
+      slots_(static_cast<std::ptrdiff_t>(
+          options_.num_workers > 0
+              ? options_.num_workers
+              : std::max(1u, std::thread::hardware_concurrency()))),
       plan_cache_(options_.plan_cache_capacity),
       core_(CoreOptions(options_),
             [this](const Request& request) { return Serve(request); }) {
@@ -183,16 +182,14 @@ ServiceServer::ServiceServer(ServerOptions options)
 }
 
 void ServiceServer::Start() {
-  PHOCUS_CHECK(pool_ == nullptr, "Start called twice");
   if (!options_.wal_dir.empty()) {
     std::filesystem::create_directories(options_.wal_dir);
     sessions_.set_wal_dir(options_.wal_dir);
     PHOCUS_LOG(kInfo) << "ingest WAL enabled under " << options_.wal_dir;
   }
-  pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   core_.Start();
   PHOCUS_LOG(kInfo) << "phocusd listening on " << options_.host << ":"
-                    << port() << " (workers=" << pool_->num_threads()
+                    << port() << " (workers=" << options_.num_workers
                     << ", queue=" << options_.queue_capacity << ")";
 }
 
@@ -308,102 +305,105 @@ Json ServiceServer::ProcessParsed(const Request& request,
         StrFormat("request queue full (%zu outstanding)",
                   options_.queue_capacity));
   }
-  registry.GetGauge("service.queue_depth")
-      .Set(static_cast<double>(admitted + 1));
+  telemetry::Gauge& depth = registry.GetGauge("service.queue_depth");
+  depth.Set(static_cast<double>(admitted + 1));
+  const std::uint64_t enqueue_ns = telemetry::TraceNowNs();
 
+  // Queue wait is the wait for an execution slot; the request then runs on
+  // this connection thread. Every path out frees the slot and the admission.
+  struct Slot {
+    Slot(ServiceServer* owner, telemetry::Gauge* gauge)
+        : server(owner), depth(gauge) {
+      server->slots_.acquire();
+    }
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    ~Slot() {
+      server->slots_.release();
+      depth->Set(static_cast<double>(server->admitted_.fetch_sub(1) - 1));
+    }
+    ServiceServer* server;
+    telemetry::Gauge* depth;
+  };
+  const Slot slot(this, &depth);
   const double deadline_ms =
       params.GetOr("deadline_ms", Json(options_.default_deadline_ms))
           .AsDouble();
-  const std::uint64_t enqueue_ns = telemetry::TraceNowNs();
-
-  std::promise<Json> promise;
-  std::future<Json> future = promise.get_future();
-  pool_->Submit([this, &registry, &promise, &params, &endpoint, &request_id,
-                 observation, id, deadline_ms, enqueue_ns] {
-    Json response;
-    // Delay-only (an exception here would escape the pool task before
-    // promise.set_value and wedge the caller): stretches the apparent
-    // queue wait so tests can force deadline expiry deterministically.
-    PHOCUS_FAILPOINT_DELAY_ONLY("server.queue_wait");
-    const std::uint64_t waited_ns = telemetry::TraceNowNs() - enqueue_ns;
-    const double waited_ms = static_cast<double>(waited_ns) / 1e6;
-    registry.GetHistogram("service.queue_wait_ns")
-        .Record(static_cast<double>(waited_ns));
-    observation->queue_wait_ms = waited_ms;
-    // Request-scoped tracing: roots finished on this thread inside the
-    // scope land in the request-local collector, so the request's span
-    // tree (cache lookup, solve, ...) is isolated from the process-global
-    // one and can be attached to the slow-request log.
-    telemetry::TraceCollector request_trace;
-    {
-      telemetry::ScopedTraceSink sink(&request_trace);
-      // Only handled requests count toward the endpoint's latency histogram.
-      const bool expired = deadline_ms > 0.0 && waited_ms > deadline_ms;
-      telemetry::TraceSpan request_span(
-          "service.request",
-          expired ? nullptr
-                  : &registry.GetHistogram("service.endpoint." + endpoint +
-                                           "_ns"));
-      request_span.SetAttribute("endpoint", endpoint);
-      if (!request_id.empty()) {
-        request_span.SetAttribute("request_id", request_id);
+  // Delay-only: stretches the apparent queue wait so tests can force
+  // deadline expiry deterministically.
+  PHOCUS_FAILPOINT_DELAY_ONLY("server.queue_wait");
+  const std::uint64_t waited_ns = telemetry::TraceNowNs() - enqueue_ns;
+  const double waited_ms = static_cast<double>(waited_ns) / 1e6;
+  registry.GetHistogram("service.queue_wait_ns")
+      .Record(static_cast<double>(waited_ns));
+  observation->queue_wait_ms = waited_ms;
+  Json response;
+  // Request-scoped tracing: roots finished on this thread inside the scope
+  // land in the request-local collector, so the request's span tree (cache
+  // lookup, solve, ...) is isolated from the process-global one and can be
+  // attached to the slow-request log.
+  telemetry::TraceCollector request_trace;
+  {
+    telemetry::ScopedTraceSink sink(&request_trace);
+    // Only handled requests count toward the endpoint's latency histogram.
+    const bool expired = deadline_ms > 0.0 && waited_ms > deadline_ms;
+    telemetry::TraceSpan request_span(
+        "service.request",
+        expired ? nullptr
+                : &registry.GetHistogram("service.endpoint." + endpoint +
+                                         "_ns"));
+    request_span.SetAttribute("endpoint", endpoint);
+    if (!request_id.empty()) {
+      request_span.SetAttribute("request_id", request_id);
+    }
+    if (expired) {
+      registry.GetCounter("service.rejected.deadline_exceeded").Increment();
+      request_span.SetAttribute("deadline_expired", "true");
+      response = MakeErrorResponse(
+          id, ErrorCode::kDeadlineExceeded,
+          StrFormat("request waited %.1fms past its %.1fms deadline",
+                    waited_ms - deadline_ms, deadline_ms));
+    } else {
+      try {
+        response = MakeOkResponse(id, Handle(endpoint, params));
+        registry.GetCounter("service.responses.ok").Increment();
+      } catch (const ServiceError& error) {
+        response = MakeErrorResponse(id, error.code(), error.message());
+      } catch (const InfeasibleBudgetError& error) {
+        response = MakeErrorResponse(id, ErrorCode::kInfeasible, error.what());
+      } catch (const IngestOverloadedError& error) {
+        // Must precede the CheckFailure arm (it derives CheckFailure):
+        // backpressure is a typed, retryable condition, not a bad request.
+        registry.GetCounter("service.rejected.ingest_overloaded").Increment();
+        telemetry::FlightRecorder::Record("request.reject",
+                                          "ingest_overloaded", id);
+        response =
+            MakeErrorResponse(id, ErrorCode::kIngestOverloaded, error.what());
+      } catch (const CheckFailure& failure) {
+        response =
+            MakeErrorResponse(id, ErrorCode::kBadRequest, failure.what());
+      } catch (const std::exception& error) {
+        response = MakeErrorResponse(id, ErrorCode::kInternal, error.what());
       }
-      if (expired) {
-        registry.GetCounter("service.rejected.deadline_exceeded").Increment();
-        request_span.SetAttribute("deadline_expired", "true");
-        response = MakeErrorResponse(
-            id, ErrorCode::kDeadlineExceeded,
-            StrFormat("request waited %.1fms past its %.1fms deadline",
-                      waited_ms - deadline_ms, deadline_ms));
-      } else {
-        try {
-          response = MakeOkResponse(id, Handle(endpoint, params));
-          registry.GetCounter("service.responses.ok").Increment();
-        } catch (const ServiceError& error) {
-          response = MakeErrorResponse(id, error.code(), error.message());
-        } catch (const InfeasibleBudgetError& error) {
-          response =
-              MakeErrorResponse(id, ErrorCode::kInfeasible, error.what());
-        } catch (const IngestOverloadedError& error) {
-          // Must precede the CheckFailure arm (it derives CheckFailure):
-          // backpressure is a typed, retryable condition, not a bad request.
-          registry.GetCounter("service.rejected.ingest_overloaded")
-              .Increment();
-          telemetry::FlightRecorder::Record("request.reject",
-                                            "ingest_overloaded", id);
-          response = MakeErrorResponse(id, ErrorCode::kIngestOverloaded,
-                                       error.what());
-        } catch (const CheckFailure& failure) {
-          response =
-              MakeErrorResponse(id, ErrorCode::kBadRequest, failure.what());
-        } catch (const std::exception& error) {
-          response = MakeErrorResponse(id, ErrorCode::kInternal, error.what());
-        }
-        observation->handle_ms = request_span.ElapsedSeconds() * 1e3;
-      }
+      observation->handle_ms = request_span.ElapsedSeconds() * 1e3;
     }
-    std::vector<telemetry::SpanRecord> roots = request_trace.Drain();
-    if (!roots.empty()) {
-      observation->tree = std::move(roots.front());
-      // The time between admission and this task starting, as a synthetic
-      // first child on the same timeline as the real spans.
-      telemetry::SpanRecord wait;
-      wait.name = "service.request.admission_wait";
-      wait.start_ns = enqueue_ns;
-      wait.duration_ns = waited_ns;
-      observation->tree.children.insert(observation->tree.children.begin(),
-                                        std::move(wait));
-      observation->traced = true;
-    }
-    observation->handled = true;
-    if (!response.GetOr("ok", false).AsBool()) {
-      registry.GetCounter("service.responses.error").Increment();
-    }
-    promise.set_value(std::move(response));
-  });
-  Json response = future.get();
-  const std::size_t remaining = admitted_.fetch_sub(1) - 1;
-  registry.GetGauge("service.queue_depth").Set(static_cast<double>(remaining));
+  }
+  std::vector<telemetry::SpanRecord> roots = request_trace.Drain();
+  if (!roots.empty()) {
+    observation->tree = std::move(roots.front());
+    // The time between admission and taking a slot, as a synthetic first
+    // child on the same timeline as the real spans.
+    telemetry::SpanRecord wait;
+    wait.name = "service.request.admission_wait";
+    wait.start_ns = enqueue_ns;
+    wait.duration_ns = waited_ns;
+    observation->tree.children.insert(observation->tree.children.begin(),
+                                      std::move(wait));
+  }
+  observation->handled = true;
+  if (!response.GetOr("ok", false).AsBool()) {
+    registry.GetCounter("service.responses.error").Increment();
+  }
   return response;
 }
 
@@ -416,7 +416,7 @@ void ServiceServer::FinishObservation(RequestObservation* observation,
   telemetry::MetricsRegistry::Current()
       .GetCounter("service.slow_requests")
       .Increment();
-  if (observation->traced) {
+  if (!observation->tree.name.empty()) {
     // Response write happens after the request span closed; splice it into
     // the tree as a trailing child so the breakdown reads
     // admission wait -> handling -> respond.
@@ -435,7 +435,7 @@ void ServiceServer::FinishObservation(RequestObservation* observation,
   record.Set("handle_ms", observation->handle_ms);
   record.Set("respond_ms", respond_ms);
   std::vector<telemetry::SpanRecord> spans;
-  if (observation->traced) spans.push_back(observation->tree);
+  if (!observation->tree.name.empty()) spans.push_back(observation->tree);
   record.Set("spans", telemetry::SpansToJson(spans));
   PHOCUS_LOG(kWarn) << "slow request " << observation->request_id << " ("
                     << observation->endpoint << "): "

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 
 #include "service/frame_server.h"
@@ -14,14 +15,13 @@
 #include "service/session.h"
 #include "telemetry/trace.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 /// \file server.h
 /// phocusd: the archive-planning daemon. It runs the shared serving core
 /// (FrameServer: one TCP listener, one thread per connection reading
-/// length-prefixed JSON requests) in front of a bounded request queue
-/// feeding a worker ThreadPool. Between the core and PhocusSystem sit the
-/// serving pieces:
+/// length-prefixed JSON requests); an admitted request runs on its connection
+/// thread once one of `num_workers` slots is free, and its solve fans out on
+/// ThreadPool::Global(). Between the core and PhocusSystem sit:
 ///
 ///  - SessionManager: per-client corpus + incremental state, fine-grained
 ///    locks (requests against different sessions run concurrently),
@@ -44,7 +44,8 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back via port().
   int port = 0;
-  /// Worker threads solving requests; 0 = hardware concurrency.
+  /// Requests handled at once; 0 = hardware concurrency. Their solves fan
+  /// out on ThreadPool::Global(), sized by PHOCUS_NUM_THREADS.
   std::size_t num_workers = 0;
   /// Max admitted-but-unfinished requests (queued + executing) before
   /// admission control answers `overloaded`.
@@ -84,7 +85,6 @@ class SlowRequestLog {
   void Add(Json record);
   /// The stored records as a JSON array, oldest first.
   Json Snapshot() const;
-  std::size_t size() const;
 
  private:
   mutable std::mutex mutex_;
@@ -121,10 +121,9 @@ class ServiceServer {
  private:
   /// What one handled request looked like, for the slow-request check and
   /// log. Filled by ProcessParsed for admitted data-plane requests; `tree`
-  /// is the request's span tree (service.request root) when tracing was on.
+  /// is the request's span tree, unnamed when tracing was off.
   struct RequestObservation {
     bool handled = false;
-    bool traced = false;
     std::string endpoint;
     std::string request_id;
     double queue_wait_ms = 0.0;
@@ -139,7 +138,7 @@ class ServiceServer {
   /// Slow-request check after the response hit the wire.
   void FinishObservation(RequestObservation* observation,
                          std::uint64_t respond_ns);
-  /// Endpoint dispatch (runs on a worker thread).
+  /// Endpoint dispatch (runs on the connection thread, holding a slot).
   Json Handle(const std::string& endpoint, const Json& params);
   Json HandleCreateSession(const Json& params);
   Json HandlePlan(const Json& params);
@@ -159,7 +158,7 @@ class ServiceServer {
   ServerOptions options_;
   double slow_request_ms_ = 0.0;
   SlowRequestLog slow_log_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::counting_semaphore<> slots_;  ///< one per ServerOptions::num_workers
   SessionManager sessions_;
   PlanCache plan_cache_;
   std::atomic<std::size_t> admitted_{0};

@@ -67,6 +67,12 @@ class TraceSpan {
   /// record.
   SpanRecord Close();
 
+  /// Appends `child`, a root drained from another thread's ScopedTraceSink,
+  /// to this span's children (dropped when the span is disabled or closed).
+  void AdoptChild(SpanRecord child) {
+    if (record_ != nullptr) record_->children.push_back(std::move(child));
+  }
+
   /// Time since the span opened; once closed, its final duration.
   std::uint64_t ElapsedNanos() const;
   double ElapsedSeconds() const {
@@ -115,8 +121,8 @@ class TraceCollector {
 
 /// Redirects root spans finished on *this thread* into `collector` for the
 /// scope's lifetime (nested scopes restore the previous sink). phocusd uses
-/// one per request on the worker thread, so a request's span tree lands in a
-/// request-local collector instead of the bounded process-global one.
+/// one per request on its connection thread, so a request's span tree lands
+/// in a request-local collector instead of the bounded process-global one.
 class ScopedTraceSink {
  public:
   explicit ScopedTraceSink(TraceCollector* collector);

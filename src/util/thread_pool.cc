@@ -10,10 +10,10 @@ namespace phocus {
 
 namespace {
 
-/// True on threads owned by any ThreadPool. A ParallelFor issued from a
-/// pool task must not block on pool completion (its own task is part of
-/// in_flight_, so the global Wait would never return); it runs inline.
-thread_local bool t_is_pool_worker = false;
+/// The pool owning this thread, or null. A ParallelFor issued from a task
+/// of the same pool must not block on that pool (its own task holds a
+/// worker the fan-out may need); it runs inline. Other threads fan out.
+thread_local const ThreadPool* t_worker_of = nullptr;
 
 }  // namespace
 
@@ -24,7 +24,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] {
-      t_is_pool_worker = true;
+      t_worker_of = this;
       WorkerLoop();
     });
   }
@@ -80,7 +80,7 @@ void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   const std::size_t threads = num_threads();
-  if (threads <= 1 || count < 2 * threads || t_is_pool_worker) {
+  if (threads <= 1 || count < 2 * threads || t_worker_of == this) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }

@@ -39,12 +39,12 @@ class ThreadPool {
   /// Runs `body(i)` for i in [0, count) and blocks until all iterations
   /// finish. Iterations are chunked to limit queue churn. Safe to call
   /// concurrently from several threads (completion is tracked per call,
-  /// not via the global Wait), and safe to call from inside a pool task —
-  /// a nested call runs inline on the calling worker instead of deadlocking
-  /// on its own unfinished task. Runs inline too when the pool has a single
-  /// worker or `count` is small; either way every index is visited exactly
-  /// once, so callers may depend on it only for throughput, never for
-  /// semantics.
+  /// not via the global Wait), and safe to call from a task of this pool —
+  /// such a nested call runs inline on the calling worker instead of
+  /// deadlocking on its own unfinished task; any other thread, a worker of
+  /// another pool included, fans out. Runs inline too when the pool has a
+  /// single worker or `count` is small; either way every index is visited
+  /// exactly once, so callers may depend on it only for throughput.
   ///
   /// If `body` throws (e.g. a PHOCUS_CHECK failure), the first exception is
   /// rethrown on the calling thread after every worker has drained — the

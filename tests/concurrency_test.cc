@@ -2,11 +2,16 @@
 
 #include <atomic>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/celf.h"
 #include "core/objective.h"
+#include "datagen/openimages.h"
+#include "phocus/system.h"
+#include "telemetry/trace.h"
 #include "tests/test_support.h"
 #include "util/thread_pool.h"
 
@@ -111,6 +116,56 @@ TEST(ConcurrencyTest, SolversAreSafeFromMultipleThreads) {
   for (int t = 1; t < 4; ++t) {
     EXPECT_DOUBLE_EQ(scores[static_cast<std::size_t>(t)], scores[0]);
   }
+}
+
+/// Depth-first search for the first span named `name`; null when absent.
+const telemetry::SpanRecord* FindSpan(const telemetry::SpanRecord& span,
+                                      const std::string& name) {
+  if (span.name == name) return &span;
+  for (const telemetry::SpanRecord& child : span.children) {
+    if (const telemetry::SpanRecord* found = FindSpan(child, name)) {
+      return found;
+    }
+  }
+  return nullptr;
+}
+
+TEST(ConcurrencyTest, PlanTraceHoldsBothConcurrentCelfPasses) {
+  // CelfSolver runs the UC pass on a thread of its own, next to the CB
+  // pass. Both pass spans belong under the plan's solver.celf.solve span;
+  // neither may escape into the process-global collector.
+  OpenImagesOptions corpus_options;
+  corpus_options.num_photos = 150;
+  corpus_options.seed = 17;
+  corpus_options.render_size = 32;
+  const Corpus corpus = GenerateOpenImagesCorpus(corpus_options);
+  ArchiveOptions options;
+  options.budget = corpus.TotalBytes() / 4;
+  PhocusSystem system(corpus);
+
+  telemetry::TraceCollector& global = telemetry::TraceCollector::Global();
+  const std::size_t global_roots = global.Snapshot().size();
+  const std::uint64_t global_dropped = global.dropped();
+  telemetry::TraceCollector local;
+  ArchivePlan plan;
+  {
+    telemetry::ScopedTraceSink sink(&local);
+    plan = system.PlanArchive(options);
+  }
+  EXPECT_EQ(global.Snapshot().size(), global_roots);
+  EXPECT_EQ(global.dropped(), global_dropped);
+  EXPECT_EQ(local.Snapshot().size(), 1u);
+
+  const telemetry::SpanRecord* solve = FindSpan(plan.trace, "solver.celf.solve");
+  ASSERT_NE(solve, nullptr);
+  std::multiset<std::string> rules;
+  for (const telemetry::SpanRecord& child : solve->children) {
+    if (child.name != "solver.celf.pass") continue;
+    for (const auto& [key, value] : child.attributes) {
+      if (key == "rule") rules.insert(value);
+    }
+  }
+  EXPECT_EQ(rules, (std::multiset<std::string>{"CB", "UC"}));
 }
 
 }  // namespace

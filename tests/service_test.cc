@@ -309,6 +309,32 @@ TEST_F(ServiceTest, QueuedRequestPastItsDeadlineIsNotSolved) {
   blocker.join();
 }
 
+TEST_F(ServiceTest, MalformedDeadlineGivesBackItsAdmissionAndSlot) {
+  ServerOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  options.enable_debug_endpoints = true;
+  StartServer(options);
+
+  // A rejected deadline must free both the admission and the only
+  // execution slot: the next request is admitted and handled.
+  ServiceClient client = Connect();
+  Json params = Json::Object();
+  params.Set("millis", 1);
+  params.Set("deadline_ms", "soon");
+  try {
+    client.Call("debug_sleep", std::move(params));
+    FAIL() << "expected bad_request";
+  } catch (const ServiceError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kBadRequest);
+  }
+  EXPECT_EQ(server_->queue_depth(), 0u);
+  Json retry = Json::Object();
+  retry.Set("millis", 1);
+  EXPECT_GE(client.Call("debug_sleep", std::move(retry))
+                .Get("slept_ms").AsDouble(), 1.0);
+}
+
 TEST_F(ServiceTest, GracefulShutdownDrainsInFlightRequests) {
   ServerOptions options;
   options.num_workers = 2;

@@ -12,8 +12,12 @@
 /// per-call ParallelFor completion and the concurrent UC/CB passes.
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,6 +283,28 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
     });
   });
   EXPECT_EQ(count.load(), 16 * 16);
+}
+
+TEST(ThreadPoolTest, ParallelForFromAnotherPoolsWorkerFansOut) {
+  // Only a worker of the *same* pool runs a nested ParallelFor inline. A
+  // worker of another pool (a request thread, say) fans out: the body runs
+  // on several of the target pool's workers and never on the caller.
+  ThreadPool outer(1);
+  ThreadPool inner(4);
+  std::thread::id caller;
+  std::mutex mutex;
+  std::set<std::thread::id> body_threads;
+  outer.Submit([&] {
+    caller = std::this_thread::get_id();
+    inner.ParallelFor(64, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      std::lock_guard<std::mutex> lock(mutex);
+      body_threads.insert(std::this_thread::get_id());
+    });
+  });
+  outer.Wait();
+  EXPECT_GT(body_threads.size(), 1u);
+  EXPECT_EQ(body_threads.count(caller), 0u);
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForCallsComplete) {
