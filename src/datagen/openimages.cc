@@ -38,9 +38,12 @@ struct DraftPhoto {
 Corpus GenerateOpenImagesCorpus(const OpenImagesOptions& options) {
   PHOCUS_CHECK(options.num_photos > 0, "num_photos must be positive");
   PHOCUS_CHECK(options.max_labels_per_photo >= 1, "need at least one label");
+  // Checked up front: label names are computed on demand, so an oversized
+  // vocabulary would otherwise fail only if an out-of-range label is drawn.
+  PHOCUS_CHECK(options.vocabulary_size > 0, "vocabulary_size must be positive");
+  PHOCUS_CHECK(options.vocabulary_size <= kLabelVocabularyCapacity,
+               "requested vocabulary larger than the generator can produce");
   Rng rng(options.seed);
-  const std::vector<std::string> vocabulary =
-      MakeLabelVocabulary(options.vocabulary_size);
   const ZipfSampler label_popularity(options.vocabulary_size,
                                      options.label_zipf_exponent);
 
@@ -52,7 +55,7 @@ Corpus GenerateOpenImagesCorpus(const OpenImagesOptions& options) {
   auto style_of = [&](std::size_t label) -> const SceneStyle& {
     auto it = style_cache.find(label);
     if (it == style_cache.end()) {
-      it = style_cache.emplace(label, StyleForCategory(vocabulary[label])).first;
+      it = style_cache.emplace(label, StyleForCategory(LabelName(label))).first;
     }
     return it->second;
   };
@@ -132,7 +135,7 @@ Corpus GenerateOpenImagesCorpus(const OpenImagesOptions& options) {
     photo.bytes = EstimateJpegBytes(image, size_options);
     photo.exif = draft.exif;
     photo.scene = draft.scene;
-    photo.title = vocabulary[draft.labels.front().first];
+    photo.title = LabelName(draft.labels.front().first);
   });
 
   // Phase 3: labels → subsets.
@@ -142,7 +145,7 @@ Corpus GenerateOpenImagesCorpus(const OpenImagesOptions& options) {
       auto [it, inserted] = subset_of_label.emplace(label, corpus.subsets.size());
       if (inserted) {
         SubsetSpec spec;
-        spec.name = vocabulary[label];
+        spec.name = LabelName(label);
         // Importance: the label's frequency in the full (modeled) source.
         spec.weight = 1000.0 * label_popularity.Probability(label);
         corpus.subsets.push_back(std::move(spec));

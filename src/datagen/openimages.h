@@ -17,8 +17,11 @@ namespace phocus {
 struct OpenImagesOptions {
   std::size_t num_photos = 1000;
   std::uint64_t seed = 1;
-  /// The full-source vocabulary (the real dataset has >6000 labels). Only a
-  /// fraction appears in a sample; that fraction forms the subsets.
+  /// Labels in the modeled full source; popularity is Zipf over them, so
+  /// only a small, size-dependent fraction appears in a sample, and that
+  /// fraction forms the subsets. Names are computed per drawn label
+  /// (LabelName), so the size costs nothing per call. Must be in
+  /// [1, kLabelVocabularyCapacity].
   std::size_t vocabulary_size = 200000;
   /// Zipf skew of label popularity; calibrates how many distinct labels (=
   /// subsets) a sample of a given size observes.

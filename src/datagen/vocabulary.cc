@@ -1,6 +1,8 @@
 #include "datagen/vocabulary.h"
 
+#include <algorithm>
 #include <array>
+#include <initializer_list>
 
 #include "util/logging.h"
 
@@ -31,60 +33,69 @@ constexpr std::array<const char*, 20> kSuffixNouns = {
     "ladder",  "bucket", "fence",  "gate",   "window",  "door",    "roof",
     "tower",   "tent",   "canoe",  "sled",   "wagon",   "bench"};
 
+// The tiers in enumeration order; each index decodes to one combination by
+// mixed-radix arithmetic, with repeated adjectives skipped.
+constexpr std::size_t kNouns = kSeedNouns.size();
+constexpr std::size_t kAdjs = kAdjectives.size();
+constexpr std::size_t kSuffixes = kSuffixNouns.size();
+constexpr std::size_t kAdjNounTier = kAdjs * kNouns;
+constexpr std::size_t kAdjSuffixTier = kAdjs * kSuffixes;
+constexpr std::size_t kTwoAdjTier = kAdjs * (kAdjs - 1) * (kNouns + kSuffixes);
+constexpr std::size_t kThreeAdjTier =
+    kAdjs * (kAdjs - 1) * (kAdjs - 2) * kNouns;
+static_assert(kNouns + kAdjNounTier + kAdjSuffixTier + kTwoAdjTier +
+                      kThreeAdjTier ==
+                  kLabelVocabularyCapacity,
+              "kLabelVocabularyCapacity must match the word lists");
+
+std::string Join(std::initializer_list<const char*> words) {
+  std::string out;
+  for (const char* word : words) {
+    if (!out.empty()) out += ' ';
+    out += word;
+  }
+  return out;
+}
+
 }  // namespace
 
-std::vector<std::string> MakeLabelVocabulary(std::size_t size) {
-  std::vector<std::string> labels;
-  labels.reserve(size);
-  for (const char* noun : kSeedNouns) {
-    if (labels.size() >= size) return labels;
-    labels.emplace_back(noun);
+std::string LabelName(std::size_t index) {
+  PHOCUS_CHECK(index < kLabelVocabularyCapacity,
+               "label index past the vocabulary capacity");
+  if (index < kNouns) return kSeedNouns[index];
+  index -= kNouns;
+  if (index < kAdjNounTier) {
+    return Join({kAdjectives[index / kNouns], kSeedNouns[index % kNouns]});
   }
-  // adjective × seed-noun combinations.
-  for (const char* adjective : kAdjectives) {
-    for (const char* noun : kSeedNouns) {
-      if (labels.size() >= size) return labels;
-      labels.push_back(std::string(adjective) + " " + noun);
-    }
+  index -= kAdjNounTier;
+  if (index < kAdjSuffixTier) {
+    return Join(
+        {kAdjectives[index / kSuffixes], kSuffixNouns[index % kSuffixes]});
   }
-  // adjective × suffix-noun combinations.
-  for (const char* adjective : kAdjectives) {
-    for (const char* noun : kSuffixNouns) {
-      if (labels.size() >= size) return labels;
-      labels.push_back(std::string(adjective) + " " + noun);
-    }
+  index -= kAdjSuffixTier;
+  if (index < kTwoAdjTier) {
+    // first × (second ≠ first) × (seed nouns, then suffix nouns).
+    const std::size_t noun = index % (kNouns + kSuffixes);
+    const std::size_t pair = index / (kNouns + kSuffixes);
+    const std::size_t first = pair / (kAdjs - 1);
+    std::size_t second = pair % (kAdjs - 1);
+    if (second >= first) ++second;
+    return Join({kAdjectives[first], kAdjectives[second],
+                 noun < kNouns ? kSeedNouns[noun]
+                               : kSuffixNouns[noun - kNouns]});
   }
-  // adjective × adjective × noun for very large vocabularies.
-  for (const char* first : kAdjectives) {
-    for (const char* second : kAdjectives) {
-      if (first == second) continue;
-      for (const char* noun : kSeedNouns) {
-        if (labels.size() >= size) return labels;
-        labels.push_back(std::string(first) + " " + second + " " + noun);
-      }
-      for (const char* noun : kSuffixNouns) {
-        if (labels.size() >= size) return labels;
-        labels.push_back(std::string(first) + " " + second + " " + noun);
-      }
-    }
-  }
-  // Three-adjective tier for very large vocabularies (the long tail's exact
-  // wording is immaterial; only distinctness matters).
-  for (const char* first : kAdjectives) {
-    for (const char* second : kAdjectives) {
-      for (const char* third : kAdjectives) {
-        if (first == second || second == third || first == third) continue;
-        for (const char* noun : kSeedNouns) {
-          if (labels.size() >= size) return labels;
-          labels.push_back(std::string(first) + " " + second + " " + third +
-                           " " + noun);
-        }
-      }
-    }
-  }
-  PHOCUS_CHECK(labels.size() >= size,
-               "requested vocabulary larger than the generator can produce");
-  return labels;
+  index -= kTwoAdjTier;
+  // first × (second ≠ first) × (third ∉ {first, second}) × seed noun.
+  const std::size_t noun = index % kNouns;
+  const std::size_t triple = index / kNouns;
+  const std::size_t first = triple / ((kAdjs - 1) * (kAdjs - 2));
+  std::size_t second = triple / (kAdjs - 2) % (kAdjs - 1);
+  std::size_t third = triple % (kAdjs - 2);
+  if (second >= first) ++second;
+  if (third >= std::min(first, second)) ++third;
+  if (third >= std::max(first, second)) ++third;
+  return Join({kAdjectives[first], kAdjectives[second], kAdjectives[third],
+               kSeedNouns[noun]});
 }
 
 std::string EcDomainName(EcDomain domain) {

@@ -1,6 +1,7 @@
 #ifndef PHOCUS_DATAGEN_VOCABULARY_H_
 #define PHOCUS_DATAGEN_VOCABULARY_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -13,10 +14,17 @@
 
 namespace phocus {
 
-/// Generates `size` distinct label names. The first entries are curated
-/// single nouns ("cat", "bicycle", ...); the tail is adjective+noun
-/// combinations ("striped kettle"). Deterministic.
-std::vector<std::string> MakeLabelVocabulary(std::size_t size);
+/// Number of distinct label names `LabelName` can produce: 60 seed nouns,
+/// then adjective×noun, adjective×suffix-noun, two distinct adjectives ×
+/// (noun | suffix-noun) and three distinct adjectives × noun.
+inline constexpr std::size_t kLabelVocabularyCapacity = 774780;
+
+/// The `index`-th label name of the Open-Images-like vocabulary, computed on
+/// demand (no table is materialized). The first entries are curated single
+/// nouns ("cat", "bicycle", ...); the tail is adjective+noun combinations
+/// ("striped kettle"). Distinct for distinct indices and deterministic.
+/// Throws CheckFailure for `index >= kLabelVocabularyCapacity`.
+std::string LabelName(std::size_t index);
 
 /// E-commerce domains used by the paper's user study.
 enum class EcDomain { kFashion, kElectronics, kHomeGarden };

@@ -217,6 +217,7 @@ void IncrementalArchiver::AddPhotosDeferred(
 
 DriftEstimate IncrementalArchiver::EstimateDrift() {
   PHOCUS_CHECK(initialized_, "EstimateDrift before Initialize");
+  telemetry::TraceSpan span("incremental.drift");
   const ParInstance instance =
       BuildInstance(corpus_, options_.archive.budget,
                     options_.archive.representation);

@@ -69,7 +69,7 @@ const ArchivePlan& StreamingArchiver::Initialize(Corpus corpus) {
   return plan;
 }
 
-void StreamingArchiver::set_policy(const StreamingOptions& options) {
+IngestOutcome StreamingArchiver::set_policy(const StreamingOptions& options) {
   CheckPolicy(options);
   // The incremental options (budget, representation) belong to the already-
   // constructed archiver; only the streaming policy is live-updatable.
@@ -89,36 +89,42 @@ void StreamingArchiver::set_policy(const StreamingOptions& options) {
   // overflow check rejects whole batches but nothing ever drains the queue
   // below the new cap. Auto-drain (and run the normal replan decision) so
   // the policy change leaves the streamer admissible.
+  IngestOutcome outcome;
   if (pending_photos_ > options_.queue_photos) {
     telemetry::MetricsRegistry::Current()
         .GetCounter("ingest.policy_drains")
         .Increment();
     telemetry::FlightRecorder::Record("ingest.policy_drain", "queue_shrunk",
                                       pending_photos_, options_.queue_photos);
-    IngestOutcome outcome;
     DrainQueue(&outcome);
     MaybeReplan(/*force=*/false, &outcome);
   }
+  outcome.pending_photos = pending_photos_;
+  return outcome;
+}
+
+void StreamingArchiver::CheckQueueCapacity(std::size_t arriving) const {
+  if (pending_photos_ + arriving <= options_.queue_photos) return;
+  // Reject the batch whole: admitting a prefix would shift the post-absorb
+  // id space the client already encoded the batch against.
+  telemetry::MetricsRegistry::Current()
+      .GetCounter("ingest.shed_batches")
+      .Increment();
+  telemetry::FlightRecorder::Record("ingest.shed", "queue_full", arriving,
+                                    pending_photos_);
+  throw IngestOverloadedError(
+      pending_photos_, options_.queue_photos,
+      "ingest overloaded: " + std::to_string(pending_photos_) +
+          " photos pending, batch of " + std::to_string(arriving) +
+          " exceeds the queue capacity of " +
+          std::to_string(options_.queue_photos) + "; flush or retry later");
 }
 
 IngestOutcome StreamingArchiver::Ingest(IngestBatch batch) {
   PHOCUS_CHECK(initialized_, "Ingest before Initialize");
   PHOCUS_FAILPOINT("ingest.enqueue");
-  auto& registry = telemetry::MetricsRegistry::Current();
   const std::size_t arriving = batch.photos.size();
-  if (pending_photos_ + arriving > options_.queue_photos) {
-    // Reject the batch whole: admitting a prefix would shift the post-absorb
-    // id space the client already encoded the batch against.
-    registry.GetCounter("ingest.shed_batches").Increment();
-    telemetry::FlightRecorder::Record("ingest.shed", "queue_full", arriving,
-                                      pending_photos_);
-    throw IngestOverloadedError(
-        pending_photos_, options_.queue_photos,
-        "ingest overloaded: " + std::to_string(pending_photos_) +
-            " photos pending, batch of " + std::to_string(arriving) +
-            " exceeds the queue capacity of " +
-            std::to_string(options_.queue_photos) + "; flush or retry later");
-  }
+  CheckQueueCapacity(arriving);
 
   Enqueue(std::move(batch));
 

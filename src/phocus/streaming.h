@@ -164,6 +164,13 @@ class StreamingArchiver {
   /// when the queue is full.
   IngestOutcome Ingest(IngestBatch batch);
 
+  /// Ingest's admission check on its own: throws IngestOverloadedError
+  /// (counted in `ingest.shed_batches`, recorded as an `ingest.shed` flight
+  /// event) when `arriving` more photos would overflow the queue. Callers
+  /// that build batches on demand run it first, so a shed batch is never
+  /// built.
+  void CheckQueueCapacity(std::size_t arriving) const;
+
   /// Drains the queue and replans if anything is pending or deferred; the
   /// durable "make the plan current" barrier. Safe to retry after a fault.
   /// With nothing pending it still rotates a poisoned WAL, healing it.
@@ -182,8 +189,11 @@ class StreamingArchiver {
   IngestOutcome SetBudget(Cost budget);
 
   /// Live policy update (ε, staleness, batch/queue sizes, budget fraction);
-  /// takes effect on the next Ingest/Flush.
-  void set_policy(const StreamingOptions& options);
+  /// takes effect on the next Ingest/Flush. A `queue_photos` below the
+  /// pending count drains the queue (and runs the normal replan decision)
+  /// at once; the returned outcome says what that drain absorbed and
+  /// whether it replanned, and is empty when nothing drained.
+  IngestOutcome set_policy(const StreamingOptions& options);
 
   const ArchivePlan& plan() const { return archiver_.plan(); }
   const Corpus& corpus() const { return archiver_.corpus(); }

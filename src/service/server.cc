@@ -51,6 +51,14 @@ ArchiveOptions OptionsFromParams(const Json& params, bool require_budget) {
   return options;
 }
 
+/// The `count` of photos an `ingest` / `update` generates. Read signed and
+/// checked before the cast: a negative count must not wrap to a huge size.
+std::size_t PhotoCountFromParams(const Json& params) {
+  const std::int64_t count = params.Get("count").AsInt();
+  PHOCUS_CHECK(count > 0, "param count must be a positive integer");
+  return static_cast<std::size_t>(count);
+}
+
 Corpus CorpusFromParams(const Json& params) {
   const Json spec = params.GetOr("corpus", Json::Object());
   const std::string kind = spec.GetOr("kind", Json("openimages")).AsString();
@@ -527,8 +535,7 @@ Json ServiceServer::HandleUpdate(const Json& params) {
   std::shared_ptr<Session> session = FindSession(params);
   const ArchiveOptions options =
       OptionsFromParams(params, /*require_budget=*/false);
-  const std::size_t count =
-      static_cast<std::size_t>(params.Get("count").AsInt());
+  const std::size_t count = PhotoCountFromParams(params);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(params.GetOr("seed", 1).AsInt());
   return IngestResultToJson(session->id(),
@@ -574,8 +581,7 @@ Json ServiceServer::HandleIngest(const Json& params) {
   std::shared_ptr<Session> session = FindSession(params);
   const ArchiveOptions options =
       OptionsFromParams(params, /*require_budget=*/false);
-  const std::size_t count =
-      static_cast<std::size_t>(params.Get("count").AsInt());
+  const std::size_t count = PhotoCountFromParams(params);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(params.GetOr("seed", 1).AsInt());
   const Session::IngestResult ingest = session->Ingest(

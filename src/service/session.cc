@@ -108,6 +108,8 @@ PhotoId NextPhotoId(const StreamingArchiver& streamer) {
 /// into the appended id space (they only reference the new photos).
 IngestBatch GenerateArrivals(std::size_t count, std::uint64_t seed,
                              PhotoId offset) {
+  telemetry::TraceSpan span("service.session.generate");
+  span.SetAttribute("photos", static_cast<std::uint64_t>(count));
   OpenImagesOptions generate;
   generate.num_photos = count;
   generate.seed = seed;
@@ -251,7 +253,14 @@ Session::IngestResult Session::Ingest(std::size_t count, std::uint64_t seed,
   policy.replan_every_batch = config.replan_every_batch;
   policy.budget_fraction = config.budget_fraction;
   policy.now_ms = std::move(now_ms);
-  streamer.set_policy(policy);
+  // A queue_photos shrink drains the queue right here, growing the corpus
+  // (and perhaps replanning): like any streamer call it must invalidate the
+  // cached fingerprint and solver, or the next `plan` serves a stale hit.
+  StreamLocked([&](StreamingArchiver& target) {
+    return target.set_policy(policy);
+  });
+  // Shed before generating: a rejected batch is never rendered or embedded.
+  streamer.CheckQueueCapacity(count);
 
   const PhotoId offset = NextPhotoId(streamer);
   IngestBatch batch = GenerateArrivals(count, seed, offset);

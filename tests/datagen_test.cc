@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <unordered_set>
 
+#include "datagen/corpus_io.h"
 #include "datagen/corpus_ops.h"
 #include "datagen/ecommerce.h"
 #include "datagen/openimages.h"
 #include "datagen/table2.h"
 #include "datagen/vocabulary.h"
 #include "embedding/vector_ops.h"
+#include "service/protocol.h"
 #include "util/logging.h"
 
 namespace phocus {
@@ -35,14 +38,95 @@ EcommerceOptions SmallEcommerceOptions(std::uint64_t seed) {
 // --------------------------------------------------------- vocabulary ----
 
 TEST(VocabularyTest, LabelsAreDistinct) {
-  const auto labels = MakeLabelVocabulary(3000);
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < 3000; ++i) labels.push_back(LabelName(i));
   ASSERT_EQ(labels.size(), 3000u);
   std::set<std::string> unique(labels.begin(), labels.end());
   EXPECT_EQ(unique.size(), labels.size());
 }
 
 TEST(VocabularyTest, LabelGenerationIsDeterministic) {
-  EXPECT_EQ(MakeLabelVocabulary(500), MakeLabelVocabulary(500));
+  for (std::size_t i = 0; i < 500; ++i) EXPECT_EQ(LabelName(i), LabelName(i));
+}
+
+/// The label vocabulary as the generator used to materialize it: nested
+/// loops over the word lists, tier by tier, skipping repeated adjectives.
+/// Calls `visit` once per label, in vocabulary order.
+void EnumerateLabelsReference(
+    const std::vector<std::string>& nouns,
+    const std::vector<std::string>& adjectives,
+    const std::vector<std::string>& suffixes,
+    const std::function<void(const std::string&)>& visit) {
+  for (const std::string& noun : nouns) visit(noun);
+  for (const std::string& adjective : adjectives) {
+    for (const std::string& noun : nouns) visit(adjective + " " + noun);
+  }
+  for (const std::string& adjective : adjectives) {
+    for (const std::string& noun : suffixes) visit(adjective + " " + noun);
+  }
+  for (std::size_t first = 0; first < adjectives.size(); ++first) {
+    for (std::size_t second = 0; second < adjectives.size(); ++second) {
+      if (first == second) continue;
+      const std::string prefix = adjectives[first] + " " + adjectives[second];
+      for (const std::string& noun : nouns) visit(prefix + " " + noun);
+      for (const std::string& noun : suffixes) visit(prefix + " " + noun);
+    }
+  }
+  for (std::size_t first = 0; first < adjectives.size(); ++first) {
+    for (std::size_t second = 0; second < adjectives.size(); ++second) {
+      for (std::size_t third = 0; third < adjectives.size(); ++third) {
+        if (first == second || second == third || first == third) continue;
+        for (const std::string& noun : nouns) {
+          visit(adjectives[first] + " " + adjectives[second] + " " +
+                adjectives[third] + " " + noun);
+        }
+      }
+    }
+  }
+}
+
+TEST(VocabularyTest, LabelNameMatchesNestedLoopEnumeration) {
+  // The word lists, read off the single-word tiers: 60 seed nouns, then 24
+  // adjective rows of 60 nouns, then 24 rows of 20 suffix nouns.
+  const auto word = [](const std::string& label, std::size_t n) {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < n; ++i) begin = label.find(' ', begin) + 1;
+    return label.substr(begin, label.find(' ', begin) - begin);
+  };
+  std::vector<std::string> nouns, adjectives, suffixes;
+  for (std::size_t i = 0; i < 60; ++i) nouns.push_back(LabelName(i));
+  for (std::size_t a = 0; a < 24; ++a) {
+    adjectives.push_back(word(LabelName(60 + a * 60), 0));
+  }
+  for (std::size_t s = 0; s < 20; ++s) {
+    suffixes.push_back(word(LabelName(60 + 24 * 60 + s), 1));
+  }
+  EXPECT_EQ(nouns.front(), "cat");
+  EXPECT_EQ(adjectives.front(), "red");
+  EXPECT_EQ(adjectives.back(), "angular");
+  EXPECT_EQ(suffixes.front(), "kettle");
+  EXPECT_EQ(suffixes.back(), "bench");
+
+  std::size_t index = 0;
+  std::size_t mismatches = 0;
+  EnumerateLabelsReference(nouns, adjectives, suffixes,
+                           [&](const std::string& expected) {
+                             if (LabelName(index) != expected &&
+                                 ++mismatches <= 5) {
+                               ADD_FAILURE() << "index " << index << ": "
+                                             << LabelName(index)
+                                             << " != " << expected;
+                             }
+                             ++index;
+                           });
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(index, kLabelVocabularyCapacity);
+  EXPECT_EQ(LabelName(kLabelVocabularyCapacity - 1),
+            "angular curved pale portrait");
+}
+
+TEST(VocabularyTest, LabelNamePastCapacityThrows) {
+  EXPECT_THROW(LabelName(kLabelVocabularyCapacity), CheckFailure);
 }
 
 TEST(VocabularyTest, DomainVocabulariesAreNonEmptyAndDistinct) {
@@ -135,6 +219,50 @@ TEST(OpenImagesTest, RequiredFractionIsHonored) {
   EXPECT_EQ(corpus.required.size(), 15u);
   std::set<PhotoId> unique(corpus.required.begin(), corpus.required.end());
   EXPECT_EQ(unique.size(), corpus.required.size());
+}
+
+TEST(OpenImagesTest, RejectsVocabularyOutsideTheGeneratorsRange) {
+  OpenImagesOptions options = SmallOpenImagesOptions(16);
+  options.num_photos = 4;
+  options.vocabulary_size = 0;
+  EXPECT_THROW(GenerateOpenImagesCorpus(options), CheckFailure);
+  options.vocabulary_size = kLabelVocabularyCapacity + 1;
+  try {
+    GenerateOpenImagesCorpus(options);
+    FAIL() << "expected CheckFailure for an oversized vocabulary";
+  } catch (const CheckFailure& failure) {
+    EXPECT_NE(std::string(failure.what())
+                  .find("requested vocabulary larger than the generator can "
+                        "produce"),
+              std::string::npos);
+  }
+  options.vocabulary_size = kLabelVocabularyCapacity;
+  EXPECT_EQ(GenerateOpenImagesCorpus(options).num_photos(), 4u);
+}
+
+TEST(OpenImagesTest, EncodedCorpusMatchesPinnedChecksums) {
+  // FNV-1a of EncodeCorpus at the generator's defaults (the options phocusd
+  // generates arrivals and openimages sessions with). Recorded while label
+  // names still came from a materialized vocabulary table: naming labels on
+  // demand must not move a byte of any corpus, fixture or WAL fingerprint.
+  struct Pin {
+    std::size_t photos;
+    std::uint64_t seed;
+    std::uint64_t checksum;
+  };
+  for (const Pin& pin : {Pin{1, 1, 0x6eaf7c3da784161dULL},
+                         Pin{1, 7, 0x57351864f23ee388ULL},
+                         Pin{16, 1, 0xe5f656eb56e1accfULL},
+                         Pin{16, 7, 0x2c4a9818653d1b5aULL},
+                         Pin{600, 1, 0x26ee5cba805b6624ULL},
+                         Pin{600, 7, 0xdc6860bc967c89baULL}}) {
+    OpenImagesOptions options;
+    options.num_photos = pin.photos;
+    options.seed = pin.seed;
+    EXPECT_EQ(service::Fnv64(EncodeCorpus(GenerateOpenImagesCorpus(options))),
+              pin.checksum)
+        << pin.photos << " photos, seed " << pin.seed;
+  }
 }
 
 // ---------------------------------------------------------- ecommerce ----

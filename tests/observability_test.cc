@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -375,6 +374,18 @@ TEST_F(ObservabilityTest, SlowPlanRequestRecordsFullSpanTree) {
   EXPECT_TRUE(found);
 }
 
+/// The first span named `name` in `span`'s tree (depth-first), or null.
+const telemetry::SpanRecord* FindSpan(const telemetry::SpanRecord& span,
+                                      const std::string& name) {
+  if (span.name == name) return &span;
+  for (const telemetry::SpanRecord& child : span.children) {
+    if (const telemetry::SpanRecord* found = FindSpan(child, name)) {
+      return found;
+    }
+  }
+  return nullptr;
+}
+
 TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
   ServerOptions options;
   options.slow_request_ms = 0.0001;
@@ -391,17 +402,6 @@ TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
   }
   const std::string request_id = client.last_request_id();
 
-  std::function<const telemetry::SpanRecord*(const telemetry::SpanRecord&)>
-      find_replan = [&](const telemetry::SpanRecord& span)
-      -> const telemetry::SpanRecord* {
-    if (span.name == "incremental.replan") return &span;
-    for (const telemetry::SpanRecord& child : span.children) {
-      if (const telemetry::SpanRecord* found = find_replan(child)) {
-        return found;
-      }
-    }
-    return nullptr;
-  };
   const Json slow = client.Metrics().Get("slow_requests");
   bool found = false;
   for (const Json& record : slow.items()) {
@@ -410,7 +410,8 @@ TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
     const std::vector<telemetry::SpanRecord> spans =
         telemetry::SpansFromJson(record.Get("spans"));
     ASSERT_EQ(spans.size(), 1u);
-    const telemetry::SpanRecord* replan = find_replan(spans[0]);
+    const telemetry::SpanRecord* replan =
+        FindSpan(spans[0], "incremental.replan");
     ASSERT_NE(replan, nullptr);
     std::vector<std::string> stages;
     for (const telemetry::SpanRecord& child : replan->children) {
@@ -421,6 +422,58 @@ TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
                           "incremental.stage.evict",
                           "incremental.stage.top_up",
                           "incremental.stage.rebalance"}));
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST_F(ObservabilityTest, SlowDrainedIngestSplitsGenerationDriftAndReplan) {
+  ServerOptions options;
+  options.slow_request_ms = 0.0001;
+  StartServer(options);
+  ServiceClient client = Connect();
+  const std::string session = client.CreateSession(CorpusSpec(10));
+  // The first ingest starts the streamer and only queues; the second fills
+  // the batch, drains it, evaluates drift and (ε = 0) replans.
+  for (const std::uint64_t seed : {1, 2}) {
+    Json params = Json::Object();
+    params.Set("session", session);
+    params.Set("count", 4);
+    params.Set("seed", seed);
+    params.Set("budget", 1'500'000);
+    params.Set("batch_photos", 8);
+    params.Set("epsilon", 0.0);
+    client.Call("ingest", std::move(params));
+  }
+  const std::string request_id = client.last_request_id();
+
+  const Json slow = client.Metrics().Get("slow_requests");
+  bool found = false;
+  for (const Json& record : slow.items()) {
+    if (record.Get("request_id").AsString() != request_id) continue;
+    found = true;
+    const std::vector<telemetry::SpanRecord> spans =
+        telemetry::SpansFromJson(record.Get("spans"));
+    ASSERT_EQ(spans.size(), 1u);
+    const telemetry::SpanRecord* generate =
+        FindSpan(spans[0], "service.session.generate");
+    ASSERT_NE(generate, nullptr);
+    EXPECT_EQ(generate->attributes,
+              (std::vector<std::pair<std::string, std::string>>{
+                  {"photos", "4"}}));
+    ASSERT_NE(FindSpan(spans[0], "incremental.drift"), nullptr);
+    ASSERT_NE(FindSpan(spans[0], "incremental.replan"), nullptr);
+    // The three phases are siblings under the request, in this order.
+    std::vector<std::string> phases;
+    for (const telemetry::SpanRecord& child : spans[0].children) {
+      if (child.name == "service.session.generate" ||
+          child.name == "incremental.drift" ||
+          child.name == "incremental.replan") {
+        phases.push_back(child.name);
+      }
+    }
+    EXPECT_EQ(phases, (std::vector<std::string>{"service.session.generate",
+                                                "incremental.drift",
+                                                "incremental.replan"}));
   }
   EXPECT_TRUE(found);
 }

@@ -449,6 +449,40 @@ TEST_F(ServiceTest, InfeasibleBudgetSurfacesAsTypedError) {
   (void)before;
 }
 
+TEST_F(ServiceTest, NonPositiveCountIsABadRequest) {
+  ServerOptions options;
+  options.num_workers = 2;
+  StartServer(options);
+
+  ServiceClient client = Connect();
+  const std::string session = client.CreateSession(CorpusSpec(4));
+  // -1 must not wrap to a huge unsigned count (that surfaced as `internal`
+  // once the batch allocation threw); 0 generates nothing.
+  for (const char* verb : {"ingest", "update"}) {
+    for (const std::int64_t count : {-1, 0}) {
+      Json params = Json::Object();
+      params.Set("session", session);
+      params.Set("count", count);
+      params.Set("budget", kTestBudget);
+      try {
+        client.Call(verb, std::move(params));
+        FAIL() << "expected bad_request for " << verb << " count=" << count;
+      } catch (const ServiceError& error) {
+        EXPECT_EQ(error.code(), ErrorCode::kBadRequest)
+            << verb << " count=" << count;
+      }
+    }
+  }
+  // The session is untouched: a valid ingest still lands on the base corpus.
+  Json ingest = Json::Object();
+  ingest.Set("session", session);
+  ingest.Set("count", 2);
+  ingest.Set("budget", kTestBudget);
+  EXPECT_EQ(client.Call("ingest", std::move(ingest)).Get("pending_photos")
+                .AsInt(),
+            2);
+}
+
 TEST_F(ServiceTest, SessionLifecycleAndTypedUnknownSession) {
   ServerOptions options;
   options.num_workers = 2;

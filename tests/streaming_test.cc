@@ -396,17 +396,23 @@ TEST_F(StreamingServiceTest, WireBackpressureIsTypedIngestOverloaded) {
   StartServer({});
   service::ServiceClient client = Connect();
   const std::string session = CreateSession(client);
+  const telemetry::Histogram& extract =
+      telemetry::MetricsRegistry::Current().GetHistogram("embedding.extract_ns");
 
   Json first = IngestParams(session, 10, 1);
   first.Set("batch_photos", 16);
   first.Set("queue_photos", 16);
+  std::uint64_t extracted_before = extract.count();
   EXPECT_EQ(client.Call("ingest", std::move(first))
                 .Get("pending_photos")
                 .AsInt(),
             10);
+  EXPECT_EQ(extract.count(), extracted_before + 10);  // admitted: embedded
 
   const std::uint64_t rejected_before =
       CounterValue("service.rejected.ingest_overloaded");
+  const std::uint64_t shed_before = CounterValue("ingest.shed_batches");
+  extracted_before = extract.count();
   Json second = IngestParams(session, 10, 2);
   second.Set("batch_photos", 16);
   second.Set("queue_photos", 16);
@@ -418,6 +424,9 @@ TEST_F(StreamingServiceTest, WireBackpressureIsTypedIngestOverloaded) {
   }
   EXPECT_EQ(CounterValue("service.rejected.ingest_overloaded"),
             rejected_before + 1);
+  EXPECT_EQ(CounterValue("ingest.shed_batches"), shed_before + 1);
+  // The batch was shed before it was generated: no photo was embedded.
+  EXPECT_EQ(extract.count(), extracted_before);
 
   // ingest_flush drains and replans; the queue accepts again.
   Json flush = Json::Object();
@@ -426,6 +435,59 @@ TEST_F(StreamingServiceTest, WireBackpressureIsTypedIngestOverloaded) {
   EXPECT_TRUE(flushed.Get("replanned").AsBool());
   EXPECT_EQ(flushed.Get("pending_photos").AsInt(), 0);
   EXPECT_EQ(flushed.Get("num_photos").AsInt(), 70);
+}
+
+TEST_F(StreamingServiceTest, PolicyShrinkDrainInvalidatesTheCachedPlan) {
+  // An ingest whose queue_photos is below the pending count drains the
+  // queue before its own batch is admitted or shed. That drain grows the
+  // corpus, so the next `plan` must be a fresh solve over it, never the
+  // cached pre-drain plan — whether the batch itself was then shed or kept.
+  StartServer({});
+  service::ServiceClient client = Connect();
+  for (const bool shed : {true, false}) {
+    SCOPED_TRACE(shed ? "shed batch" : "admitted batch");
+    const std::string session = CreateSession(client, shed ? 21 : 22);
+    Json first = IngestParams(session, 10, 1);
+    first.Set("batch_photos", 16);
+    first.Set("queue_photos", 16);
+    ASSERT_EQ(client.Call("ingest", std::move(first))
+                  .Get("pending_photos")
+                  .AsInt(),
+              10);
+
+    Json plan = Json::Object();
+    plan.Set("session", session);
+    plan.Set("budget", 1'500'000);
+    const Json before = client.Call("plan", Json(plan));
+    ASSERT_EQ(before.Get("plan").Get("retained").size() +
+                  before.Get("plan").Get("archived").size(),
+              60u);
+
+    // 10 pending > 8 drains all 10; the batch then needs 10 (> 8, shed)
+    // or 2 (≤ 8, admitted) slots in the emptied queue.
+    Json shrink = IngestParams(session, shed ? 10 : 2, 2);
+    shrink.Set("batch_photos", 4);
+    shrink.Set("queue_photos", 8);
+    if (shed) {
+      try {
+        client.Call("ingest", std::move(shrink));
+        FAIL() << "expected typed ingest_overloaded";
+      } catch (const service::ServiceError& error) {
+        EXPECT_EQ(error.code(), service::ErrorCode::kIngestOverloaded);
+      }
+    } else {
+      EXPECT_EQ(client.Call("ingest", std::move(shrink))
+                    .Get("pending_photos")
+                    .AsInt(),
+                2);
+    }
+
+    const Json after = client.Call("plan", Json(plan));
+    EXPECT_FALSE(after.Get("cached").AsBool());
+    EXPECT_EQ(after.Get("plan").Get("retained").size() +
+                  after.Get("plan").Get("archived").size(),
+              70u);
+  }
 }
 
 TEST_F(StreamingServiceTest, ServerStreamMatchesInProcessByteForByte) {
@@ -671,7 +733,9 @@ TEST(StreamingScenario, PolicyShrinkBelowPendingAutoDrains) {
   StreamingOptions shrunk = options;
   shrunk.batch_photos = 4;
   shrunk.queue_photos = 8;  // below the 10 pending photos
-  archiver.set_policy(shrunk);
+  const IngestOutcome drained = archiver.set_policy(shrunk);
+  EXPECT_TRUE(drained.absorbed) << "the caller must see the corpus grew";
+  EXPECT_EQ(drained.pending_photos, 0u);
   EXPECT_EQ(archiver.pending_photos(), 0u)
       << "policy shrink must drain the queue, not strand it";
   EXPECT_EQ(CounterValue("ingest.policy_drains"), drains_before + 1);
