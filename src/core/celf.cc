@@ -7,7 +7,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace phocus {
@@ -39,22 +38,26 @@ SolverResult LazyGreedy(const ParInstance& instance, GreedyRule rule,
 SolverResult LazyGreedyFrom(const ParInstance& instance, GreedyRule rule,
                             const CelfOptions& options,
                             const std::vector<PhotoId>& seed) {
-  Stopwatch timer;
   // Line 1-2 of Algorithm 2: S ← seed (⊇ S0), B ← B − C(seed).
+  telemetry::TraceSpan seeding("solver.celf.seed");
+  seeding.SetAttribute("photos", static_cast<std::uint64_t>(seed.size()));
   ObjectiveEvaluator evaluator(&instance, seed);
+  seeding.Close();
   SolverResult result =
       LazyGreedyComplete(instance, rule, options, evaluator, seed);
   // A fresh evaluator makes the pass's total oracle count exactly the
   // evaluator's counter (the seed Adds count, as in the paper's metric).
   result.gain_evaluations = evaluator.gain_evaluations();
-  result.seconds = timer.ElapsedSeconds();
+  // The seed span and the pass span cover the whole call.
+  result.seconds += seeding.ElapsedSeconds();
   return result;
 }
 
 SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
                                 const CelfOptions& options,
                                 ObjectiveEvaluator& evaluator,
-                                std::vector<PhotoId> already_selected) {
+                                std::vector<PhotoId> already_selected,
+                                const std::vector<double>* known_gains) {
   auto& registry = telemetry::MetricsRegistry::Current();
   telemetry::TraceSpan span("solver.celf.pass",
                             &registry.GetHistogram("solver.celf.pass_ns"));
@@ -99,7 +102,8 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
   // only at options and the candidate count (never the thread count), so
   // gain_evaluations is reproducible everywhere. ParallelFor itself runs
   // inline on a single-core pool — identical results, different schedule.
-  if (options.parallel_first_round && candidates.size() >= 256) {
+  if (known_gains == nullptr && options.parallel_first_round &&
+      candidates.size() >= 256) {
     // Eager first round, fanned across the pool: GainOf is const, so
     // concurrent probes against the seed state are safe. Entries enter the
     // queue fresh (current epoch). Same probe count as the lazy seed — the
@@ -114,10 +118,16 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
   } else {
     // Lazy seed: every candidate starts stale with key = +inf (line 3-4's
     // δ_p ← ∞), so each photo's gain is computed at most once per solution
-    // change and only when it reaches the top.
+    // change and only when it reaches the top. A known exact gain enters
+    // fresh: it is the key that refresh would have computed.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     for (PhotoId p : candidates) {
-      queue.push({std::numeric_limits<double>::infinity(), p,
-                  std::numeric_limits<std::size_t>::max()});
+      const double gain = known_gains != nullptr ? (*known_gains)[p] : kInf;
+      if (gain == kInf) {
+        queue.push({kInf, p, std::numeric_limits<std::size_t>::max()});
+      } else {
+        queue.push({key_of(p, gain), p, epoch});
+      }
     }
   }
 

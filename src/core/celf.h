@@ -70,10 +70,16 @@ SolverResult LazyGreedyFrom(const ParInstance& instance, GreedyRule rule,
 /// already reflect exactly `already_selected` (every photo Added, within
 /// budget); the result lists `already_selected` first, then picks, and its
 /// gain_evaluations field counts only probes performed during this call.
-SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
-                                const CelfOptions& options,
-                                ObjectiveEvaluator& evaluator,
-                                std::vector<PhotoId> already_selected);
+///
+/// `known_gains`, if given, holds per photo either its exact GainOf under the
+/// evaluator's state or +inf. Known candidates enter the heap fresh; the rest
+/// take the lazy +inf seed (no eager first round). The lazy seed refreshes
+/// every candidate before the first pick, so the picks are the same as
+/// without `known_gains`; only the gain evaluations of the known ones go.
+SolverResult LazyGreedyComplete(
+    const ParInstance& instance, GreedyRule rule, const CelfOptions& options,
+    ObjectiveEvaluator& evaluator, std::vector<PhotoId> already_selected,
+    const std::vector<double>* known_gains = nullptr);
 
 /// Algorithm 1: best of LazyGreedy(UC) and LazyGreedy(CB).
 class CelfSolver : public Solver {

@@ -21,8 +21,13 @@ void Subset::SetSparseRows(
   sparse_indices.reserve(total);
   sparse_values.reserve(total);
   sparse_offsets.push_back(0);
+  std::vector<std::pair<std::uint32_t, float>> sorted;
   for (const auto& row : rows) {
-    for (const auto& [j, s] : row) {
+    // Stored rows are in ascending index order (see sparse_row).
+    sorted.assign(row.begin(), row.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [j, s] : sorted) {
       sparse_indices.push_back(j);
       sparse_values.push_back(s);
     }
@@ -247,6 +252,8 @@ void ParInstance::Validate() const {
             const float s = row.values[k];
             PHOCUS_CHECK(j < m && j != i,
                          StrFormat("subset %u sparse sim bad neighbor", qi));
+            PHOCUS_CHECK(k == 0 || row.indices[k - 1] < j,
+                         StrFormat("subset %u sparse row not ascending", qi));
             PHOCUS_CHECK(s > 0.0f && s <= 1.0f + 1e-6f,
                          StrFormat("subset %u sparse sim out of (0,1]", qi));
           }

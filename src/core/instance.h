@@ -55,16 +55,18 @@ struct Subset {
   /// kSparse, CSR layout: row i (a local member index) holds the (other
   /// local index, sim) entries with sim > 0 at
   /// `sparse_indices/sparse_values[sparse_offsets[i] .. sparse_offsets[i+1])`.
-  /// Symmetric; self-pairs excluded. Build with SetSparseRows() or append
-  /// rows in order, keeping `sparse_offsets` sized |members|+1.
+  /// Symmetric; self-pairs excluded; each row in ascending index order, so
+  /// a lookup is a binary search. Build with SetSparseRows() or append rows
+  /// in order, keeping `sparse_offsets` sized |members|+1.
   std::vector<std::uint32_t> sparse_offsets;
   std::vector<std::uint32_t> sparse_indices;
   std::vector<float> sparse_values;
 
   std::size_t size() const { return members.size(); }
 
-  /// Converts per-row neighbor lists into the CSR arrays (rows may have been
-  /// filled in any order). `rows` must have one entry per member.
+  /// Converts per-row neighbor lists into the CSR arrays, sorting each row
+  /// by index (rows may have been filled in any order). `rows` must have one
+  /// entry per member.
   void SetSparseRows(
       const std::vector<std::vector<std::pair<std::uint32_t, float>>>& rows);
 
@@ -166,7 +168,8 @@ class ParInstance {
   std::size_t total_members() const { return member_offsets_.back(); }
 
   /// Structural validation: relevance normalized, similarities in [0, 1],
-  /// dense diagonals 1, sparse CSR well-formed with symmetry spot-checks,
+  /// dense diagonals 1 and symmetric, sparse CSR well-formed with ascending
+  /// rows,
   /// required cost within budget. Throws CheckFailure with a precise message
   /// on violation.
   void Validate() const;

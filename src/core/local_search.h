@@ -13,6 +13,8 @@
 /// only if it strictly improves G. The result is therefore never worse
 /// than the input, terminates (G strictly increases per accepted move and
 /// is bounded), and typically closes part of whatever gap greedy left.
+/// A refill seeds its heap with the current selection's gains wherever the
+/// eviction cannot have changed them (same picks, fewer evaluations).
 
 namespace phocus {
 
@@ -39,6 +41,11 @@ struct LocalSearchStats {
   /// excluded); also added onto the improved solution's
   /// SolverResult::gain_evaluations.
   std::size_t gain_evaluations = 0;
+  /// Over the consumed probes: refill candidates that entered the heap with
+  /// `current`'s exact gain (their gain scans read no best-sim the victim's
+  /// removal lowered), and those seeded +inf and re-evaluated.
+  std::size_t keys_reused = 0;
+  std::size_t keys_refreshed = 0;
   double initial_score = 0.0;
   double final_score = 0.0;
 };

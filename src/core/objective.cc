@@ -124,6 +124,26 @@ double MembershipAdd(const Subset& subset, std::uint32_t local_p,
   return 0.0;
 }
 
+/// Member i's contribution to member j's best-sim, exactly as MembershipAdd
+/// raises it: 1 on the diagonal, else the stored similarity (0 where a
+/// sparse row has no entry; rows are in ascending index order).
+float Contribution(const Subset& subset, std::uint32_t i, std::uint32_t j) {
+  if (i == j) return 1.0f;
+  switch (subset.sim_mode) {
+    case Subset::SimMode::kUniform:
+      return 1.0f;
+    case Subset::SimMode::kDense:
+      return subset.dense_sim[static_cast<std::size_t>(i) * subset.size() + j];
+    case Subset::SimMode::kSparse: {
+      const SparseSimRow row = subset.sparse_row(i);
+      const std::uint32_t* end = row.indices + row.size;
+      const std::uint32_t* it = std::lower_bound(row.indices, end, j);
+      return it != end && *it == j ? row.values[it - row.indices] : 0.0f;
+    }
+  }
+  return 0.0f;
+}
+
 }  // namespace
 
 double ObjectiveEvaluator::GainOf(PhotoId p) const {
@@ -155,13 +175,46 @@ double ObjectiveEvaluator::Add(PhotoId p) {
   return gain;
 }
 
-void ObjectiveEvaluator::CoverWithout(SubsetId q, PhotoId p,
-                                      float* best) const {
+void ObjectiveEvaluator::LoweredWithout(
+    SubsetId q, std::uint32_t local_p, std::vector<LoweredSim>* lowered) const {
+  lowered->clear();
   const Subset& subset = instance_->subset(q);
-  std::fill(best, best + subset.size(), 0.0f);
-  for (std::uint32_t i = 0; i < subset.size(); ++i) {
-    const PhotoId member = subset.members[i];
-    if (member != p && selected_[member]) MembershipAdd(subset, i, best);
+  const float* best = best_sim_.data() + instance_->member_offset(q);
+  const std::uint32_t m = static_cast<std::uint32_t>(subset.size());
+  std::vector<std::uint32_t> others;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    if (i != local_p && selected_[subset.members[i]]) others.push_back(i);
+  }
+  if (subset.sim_mode == Subset::SimMode::kUniform) {
+    // Any selected member covers every member with 1.
+    if (!others.empty()) return;
+    for (std::uint32_t j = 0; j < m; ++j) lowered->push_back({j, 0.0f});
+    return;
+  }
+  // best[j] is the max of the selected members' contributions, so it can
+  // only drop where p's own contribution attains it. The new value is the
+  // max over the others (floored at 0, as a fresh cover starts).
+  const auto recover = [&](std::uint32_t j) {
+    float value = 0.0f;
+    for (std::uint32_t i : others) {
+      const float c = Contribution(subset, i, j);
+      if (c > value) value = c;
+      if (value == best[j]) return;  // another member attains it too
+    }
+    lowered->push_back({j, value});
+  };
+  if (best[local_p] == 1.0f) recover(local_p);
+  if (subset.sim_mode == Subset::SimMode::kDense) {
+    const float* row = &subset.dense_sim[static_cast<std::size_t>(local_p) * m];
+    for (std::uint32_t j = 0; j < m; ++j) {
+      if (j != local_p && row[j] > 0.0f && row[j] == best[j]) recover(j);
+    }
+  } else {
+    const SparseSimRow row = subset.sparse_row(local_p);
+    for (std::uint32_t k = 0; k < row.size; ++k) {
+      const std::uint32_t j = row.indices[k];
+      if (row.values[k] > 0.0f && row.values[k] == best[j]) recover(j);
+    }
   }
 }
 
@@ -170,11 +223,19 @@ double ObjectiveEvaluator::RemovalLoss(PhotoId p) const {
                "photo is not selected");
   gain_evaluations_.fetch_add(1, std::memory_order_relaxed);
   double loss = 0.0;
+  std::vector<LoweredSim> lowered;
   std::vector<float> without;
   for (const Membership& membership : instance_->memberships(p)) {
+    LoweredWithout(membership.subset, membership.local_index, &lowered);
+    // An unchanged slice contributes exactly 0 to the loss.
+    if (lowered.empty()) continue;
     const Subset& subset = instance_->subset(membership.subset);
-    without.resize(subset.size());
-    CoverWithout(membership.subset, p, without.data());
+    const float* best =
+        best_sim_.data() + instance_->member_offset(membership.subset);
+    without.assign(best, best + subset.size());
+    for (const LoweredSim& entry : lowered) {
+      without[entry.local_index] = entry.value;
+    }
     loss += subset.weight *
             (SubsetScore(membership.subset) -
              kernels::WeightedSum(subset.relevance.data(), without.data(),
@@ -183,11 +244,30 @@ double ObjectiveEvaluator::RemovalLoss(PhotoId p) const {
   return loss;
 }
 
-double ObjectiveEvaluator::Remove(PhotoId p) {
-  const double loss = RemovalLoss(p);
+double ObjectiveEvaluator::Remove(PhotoId p,
+                                  std::vector<Membership>* lowered_slots) {
+  PHOCUS_CHECK(p < instance_->num_photos() && selected_[p],
+               "photo is not selected");
+  gain_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  double loss = 0.0;
+  std::vector<LoweredSim> lowered;
   for (const Membership& membership : instance_->memberships(p)) {
-    CoverWithout(membership.subset, p,
-                 best_sim_.data() + instance_->member_offset(membership.subset));
+    LoweredWithout(membership.subset, membership.local_index, &lowered);
+    if (lowered.empty()) continue;
+    // Same terms as RemovalLoss, so the realized loss is its bits.
+    const Subset& subset = instance_->subset(membership.subset);
+    float* best =
+        best_sim_.data() + instance_->member_offset(membership.subset);
+    const double before = SubsetScore(membership.subset);
+    for (const LoweredSim& entry : lowered) {
+      best[entry.local_index] = entry.value;
+      if (lowered_slots != nullptr) {
+        lowered_slots->push_back({membership.subset, entry.local_index});
+      }
+    }
+    loss += subset.weight * (before - kernels::WeightedSum(
+                                          subset.relevance.data(), best,
+                                          subset.size()));
   }
   selected_[p] = false;
   --num_selected_;

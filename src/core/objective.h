@@ -15,8 +15,10 @@
 /// (`best_sim[q][j] = SIM(q, p_j, NN(q, p_j, S))`, or 0 when S∩q = ∅).
 /// Adding photo p touches only the subsets containing p, so a marginal-gain
 /// probe costs O(Σ_{q∋p} |q|) dense / O(deg(p)) sparse — the property that
-/// makes lazy greedy fast (§4.2). Removing p likewise touches only the
-/// subsets containing p: each is re-covered from its other selected members.
+/// makes lazy greedy fast (§4.2). Removing p touches only the members whose
+/// best similarity p attains: best_sim is a max over the selected members,
+/// so every other member keeps its value, and an attained one takes the max
+/// of the other selected members' contributions to it.
 ///
 /// best_sim is stored as ONE flat arena (`total_members()` floats) indexed
 /// by `member_offset(q) + local_j`, not a vector per subset: a gain probe
@@ -50,10 +52,13 @@ class ObjectiveEvaluator {
   /// state. Counts one gain evaluation.
   double RemovalLoss(PhotoId p) const;
 
-  /// Removes a selected photo; returns the realized loss. Afterwards every
-  /// GainOf and SubsetScore equals a fresh evaluator's on S ∖ {p} bit for
-  /// bit (best-sims are maxima over floats, which ignore order).
-  double Remove(PhotoId p);
+  /// Removes a selected photo; returns the realized loss (RemovalLoss's
+  /// bits). Afterwards every GainOf and SubsetScore equals a fresh
+  /// evaluator's on S ∖ {p} bit for bit (best-sims are maxima over floats,
+  /// which ignore order). If `lowered` is given, appends the slots whose
+  /// best-sim dropped: only a photo whose gain scan reads one of them can
+  /// have a different GainOf than before the removal.
+  double Remove(PhotoId p, std::vector<Membership>* lowered = nullptr);
 
   /// Current G(S).
   double score() const { return score_; }
@@ -84,8 +89,16 @@ class ObjectiveEvaluator {
   static double MaxScore(const ParInstance& instance);
 
  private:
-  /// Rewrites q's best-sim slice `best` from q's selected members except p.
-  void CoverWithout(SubsetId q, PhotoId p, float* best) const;
+  /// A best-sim that drops when a member leaves: its new value.
+  struct LoweredSim {
+    std::uint32_t local_index;
+    float value;
+  };
+  /// The members of subset q whose best-sim drops when the selected member
+  /// at `local_p` leaves, with their new values; empty when no score in q
+  /// changes.
+  void LoweredWithout(SubsetId q, std::uint32_t local_p,
+                      std::vector<LoweredSim>* lowered) const;
 
   const ParInstance* instance_;
   /// Flat best-sim arena: subset q's members occupy

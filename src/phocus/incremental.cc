@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <queue>
 
 #include "core/celf.h"
 #include "core/local_search.h"
@@ -59,27 +60,82 @@ std::vector<PhotoId> FitSeedToBudget(const ParInstance& instance,
       seed.push_back(p);
     }
   }
+  // Reverse greedy: each round evicts the photo of least removal loss per
+  // byte, ties to the earliest seed position. G is submodular, so a loss
+  // can only grow as other photos leave, and a density computed in an
+  // earlier round is a lower bound on the current one (CELF run in
+  // reverse). Rounding can break that bound by a few ulps, so each entry's
+  // heap key is its density minus a slack far above the rounding error of
+  // the loss's sums: kLossSlack times Σ_{q∋p} W(q), the largest value the
+  // loss can take. A round refreshes every entry whose key is at most the
+  // best fresh density found so far; every entry left behind has a current
+  // density above it, so the pick is exactly the full scan's.
+  constexpr double kLossSlack = 1e-9;
+  struct Entry {
+    double key;
+    double density;
+    std::size_t position;
+    std::size_t round;
+    bool operator>(const Entry& other) const {
+      if (key != other.key) return key > other.key;
+      return position > other.position;
+    }
+  };
+  std::size_t removal_loss_evals = 0;
+  std::size_t round = 0;
+  const auto fresh = [&](std::size_t position) {
+    const PhotoId p = seed[position];
+    const double cost = static_cast<double>(instance.cost(p));
+    double weight = 0.0;
+    for (const Membership& membership : instance.memberships(p)) {
+      weight += instance.subset(membership.subset).weight;
+    }
+    ++removal_loss_evals;
+    const double density = evaluator.RemovalLoss(p) / cost;
+    return Entry{density - kLossSlack * weight / cost, density, position,
+                 round};
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   std::vector<PhotoId> victims;
-  while (evaluator.selected_cost() > instance.budget()) {
-    double best_density = std::numeric_limits<double>::infinity();
-    std::size_t victim_index = seed.size();
+  if (evaluator.selected_cost() > instance.budget()) {
     for (std::size_t i = 0; i < seed.size(); ++i) {
-      if (instance.IsRequired(seed[i])) continue;
-      const double density = evaluator.RemovalLoss(seed[i]) /
-                             static_cast<double>(instance.cost(seed[i]));
-      if (density < best_density) {
-        best_density = density;
-        victim_index = i;
+      if (!instance.IsRequired(seed[i])) heap.push(fresh(i));
+    }
+  }
+  std::vector<Entry> popped;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  while (evaluator.selected_cost() > instance.budget()) {
+    popped.clear();
+    std::size_t best = kNone;  // index into `popped`
+    while (!heap.empty() &&
+           (best == kNone || heap.top().key <= popped[best].density)) {
+      const Entry top = heap.top();
+      heap.pop();
+      if (top.round != round) {
+        heap.push(fresh(top.position));
+        continue;
+      }
+      popped.push_back(top);
+      if (best == kNone || top.density < popped[best].density ||
+          (top.density == popped[best].density &&
+           top.position < popped[best].position)) {
+        best = popped.size() - 1;
       }
     }
-    PHOCUS_CHECK(victim_index < seed.size(),
+    PHOCUS_CHECK(best != kNone,
                  "no evictable photo left although S0 fits the budget");
-    victims.push_back(seed[victim_index]);
-    evaluator.Remove(seed[victim_index]);
-    seed.erase(seed.begin() + static_cast<std::ptrdiff_t>(victim_index));
+    const std::size_t victim = popped[best].position;
+    for (const Entry& entry : popped) {
+      if (entry.position != victim) heap.push(entry);
+    }
+    victims.push_back(seed[victim]);
+    evaluator.Remove(seed[victim]);
+    ++round;
   }
+  std::erase_if(seed, [&](PhotoId p) { return !evaluator.IsSelected(p); });
   if (stats != nullptr) {
     stats->evicted_for_feasibility = victims.size();
+    stats->removal_loss_evals += removal_loss_evals;
     stats->gain_evaluations += evaluator.gain_evaluations();
   }
   return victims;
@@ -159,7 +215,7 @@ const ArchivePlan& IncrementalArchiver::ReplanAfter(
   IncrementalUpdateStats local_stats;
   defer(&local_stats);
   try {
-    Replan(&local_stats);
+    Replan(local_stats);
   } catch (...) {
     // Keep the archiver consistent: a failed replan (infeasible budget,
     // injected fault) must not leave appended photos in a corpus whose
@@ -231,7 +287,7 @@ const ArchivePlan& IncrementalArchiver::ReplanNow(
     IncrementalUpdateStats* stats) {
   PHOCUS_CHECK(initialized_, "ReplanNow before Initialize");
   IncrementalUpdateStats local_stats;
-  Replan(&local_stats);
+  Replan(local_stats);
   if (stats != nullptr) *stats = local_stats;
   return plan_;
 }
@@ -242,7 +298,7 @@ void IncrementalArchiver::SetBudgetDeferred(Cost budget) {
   options_.archive.budget = budget;
 }
 
-void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
+void IncrementalArchiver::Replan(IncrementalUpdateStats& stats) {
   PHOCUS_FAILPOINT("incremental.replan");
   telemetry::TraceSpan span("incremental.replan");
   telemetry::TraceSpan build("incremental.stage.build_instance");
@@ -267,7 +323,11 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
   // previous retained ids are stable because appends never renumber).
   std::vector<PhotoId> seed = plan_.retained;
   telemetry::TraceSpan evict("incremental.stage.evict");
-  FitSeedToBudget(instance, seed, stats);
+  const std::size_t victims = FitSeedToBudget(instance, seed, &stats).size();
+  evict.SetAttribute("rounds", static_cast<std::uint64_t>(victims));
+  evict.SetAttribute("removal_loss_evals",
+                     static_cast<std::uint64_t>(stats.removal_loss_evals));
+  evict.SetAttribute("victims", static_cast<std::uint64_t>(victims));
   evict.Close();
 
   // Top-up with the arrivals (and anything newly worthwhile), then one swap
@@ -279,16 +339,23 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats* stats) {
   telemetry::TraceSpan rebalance("incremental.stage.rebalance");
   LocalSearchOptions ls;
   ls.max_passes = 1;
-  ImproveByLocalSearch(instance, result, ls);
+  const LocalSearchStats rebalanced =
+      ImproveByLocalSearch(instance, result, ls);
+  rebalance.SetAttribute("probes",
+                         static_cast<std::uint64_t>(rebalanced.moves_tried));
+  rebalance.SetAttribute("keys_reused",
+                         static_cast<std::uint64_t>(rebalanced.keys_reused));
+  rebalance.SetAttribute("keys_refreshed",
+                         static_cast<std::uint64_t>(rebalanced.keys_refreshed));
   rebalance.Close();
   result.solver_name = "PHOcus-incremental";
-  if (stats != nullptr) stats->gain_evaluations += result.gain_evaluations;
+  stats.gain_evaluations += result.gain_evaluations;
   plan_ = MakePlan(instance, std::move(result), options_.archive);
   deferred_photos_ = 0;  // every deferred arrival is now in the plan
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.replans")
       .Increment();
-  if (stats != nullptr) stats->seconds = span.ElapsedSeconds();
+  stats.seconds = span.ElapsedSeconds();
 }
 
 }  // namespace phocus

@@ -59,6 +59,9 @@ struct IncrementalUpdateStats {
   std::size_t photos_added = 0;
   std::size_t subsets_added = 0;
   std::size_t evicted_for_feasibility = 0;
+  /// RemovalLoss calls eviction spent: one per evictable seed photo, then
+  /// only the lazy refreshes near each round's minimum.
+  std::size_t removal_loss_evals = 0;
   /// Gain evaluations spent by eviction, top-up and rebalance (the
   /// solver-side work; a from-scratch Algorithm 1 run spends several times
   /// more — the representation build is shared by both paths).
@@ -68,8 +71,11 @@ struct IncrementalUpdateStats {
 };
 
 /// Steps 1–2 above: appends the S0 members `seed` lacks, then evicts until it
-/// fits instance.budget() (S0 must fit). Returns the victims in order;
-/// `stats` (if given) counts them and the gain evaluations spent.
+/// fits instance.budget() (S0 must fit). Each round evicts the photo of least
+/// removal loss per byte, ties to the earliest seed position, with lazily
+/// refreshed losses (the same victims as rescoring every photo each round).
+/// Returns the victims in order; `stats` (if given) counts them, the
+/// RemovalLoss calls and the gain evaluations spent.
 std::vector<PhotoId> FitSeedToBudget(const ParInstance& instance,
                                      std::vector<PhotoId>& seed,
                                      IncrementalUpdateStats* stats = nullptr);
@@ -152,7 +158,7 @@ class IncrementalArchiver {
   const ArchivePlan& ReplanAfter(
       const std::function<void(IncrementalUpdateStats*)>& defer,
       IncrementalUpdateStats* stats);
-  void Replan(IncrementalUpdateStats* stats);
+  void Replan(IncrementalUpdateStats& stats);
 
   IncrementalOptions options_;
   Corpus corpus_;

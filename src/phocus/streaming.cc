@@ -74,15 +74,16 @@ IngestOutcome StreamingArchiver::set_policy(const StreamingOptions& options) {
   // The incremental options (budget, representation) belong to the already-
   // constructed archiver; only the streaming policy is live-updatable.
   const WalPolicy policy = PolicyOf(options);
-  const bool changed = policy != PolicyOf(options_);
-  ApplyWalPolicy(policy, &options_);
-  if (options.now_ms) options_.now_ms = options.now_ms;
-  // Journal only real changes: phocusd re-applies the policy on every ingest
-  // request, and an unconditional record would grow the log per request.
-  // (Skipped while poisoned; the next rotation's checkpoint carries it.)
-  if (changed && wal_ != nullptr && !wal_->poisoned()) {
+  // Journal first, then apply: a failed append leaves the old policy in
+  // memory, as in the log. Journal only real changes: phocusd re-applies
+  // the policy on every ingest request, and an unconditional record would
+  // grow the log per request. (Skipped while poisoned; the next rotation's
+  // checkpoint carries it.)
+  if (policy != PolicyOf(options_) && wal_ != nullptr && !wal_->poisoned()) {
     wal_->AppendPolicy(policy);
   }
+  ApplyWalPolicy(policy, &options_);
+  if (options.now_ms) options_.now_ms = options.now_ms;
 
   // A cap shrunk below the pending count would otherwise shed every
   // subsequent batch — even a single photo — until a manual flush: the
@@ -186,6 +187,18 @@ IngestOutcome StreamingArchiver::Flush() {
 }
 
 void StreamingArchiver::Enqueue(IngestBatch batch) {
+  // Ids must fall inside the corpus as it stands once this batch is
+  // absorbed, so the absorb that DrainQueue journals first cannot fail.
+  const std::size_t limit = archiver_.corpus().num_photos() + pending_photos_ +
+                            batch.photos.size();
+  for (const SubsetSpec& spec : batch.subsets) {
+    for (PhotoId p : spec.members) {
+      PHOCUS_CHECK(p < limit, "subset member beyond the appended corpus");
+    }
+  }
+  for (PhotoId p : batch.required) {
+    PHOCUS_CHECK(p < limit, "required id beyond the appended corpus");
+  }
   // Durability barrier: the batch reaches the fsync'd WAL before any state
   // changes. A fault here (full disk, injected crash) leaves the streamer
   // untouched and the batch un-acknowledged — the client retries.
@@ -223,16 +236,17 @@ std::size_t StreamingArchiver::AbsorbQueued(std::size_t batches) {
 void StreamingArchiver::DrainQueue(IngestOutcome* outcome) {
   auto& registry = telemetry::MetricsRegistry::Current();
   const std::size_t drained_batches = queue_.size();
-  registry.GetCounter("ingest.absorbed_photos")
-      .Add(AbsorbQueued(drained_batches));
-  if (drained_batches > 0) outcome->absorbed = true;
-  // One absorb marker for the whole drain. A crash before it replays the
-  // batches as still-queued — same photos, same order, merely re-absorbed.
-  // A poisoned WAL skips the marker (it would throw after the absorb already
-  // happened): replay then re-absorbs the batches as queued, same result.
+  // One absorb marker for the whole drain, journaled before the absorb: a
+  // failed append leaves the batches queued, as the log has them, and a
+  // crash after it replays the same absorb. A poisoned WAL skips the marker
+  // (it would throw): replay then re-absorbs the batches as queued, same
+  // result, and the next rotation's checkpoint carries the absorb.
   if (wal_ != nullptr && !wal_->poisoned() && drained_batches > 0) {
     wal_->AppendAbsorb(drained_batches);
   }
+  registry.GetCounter("ingest.absorbed_photos")
+      .Add(AbsorbQueued(drained_batches));
+  if (drained_batches > 0) outcome->absorbed = true;
   registry.GetGauge("ingest.queue_photos")
       .Set(static_cast<double>(pending_photos_));
 }

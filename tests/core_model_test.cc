@@ -349,6 +349,149 @@ TEST_P(ObjectivePropertyTest, RemovalLossMatchesReevaluation) {
   }
 }
 
+/// Whether p's gain scan reads any of the `lowered` slots: its own slot and
+/// its row's slots in every subset it belongs to (all of a dense or uniform
+/// subset's slots).
+bool ReadsLoweredSlot(const ParInstance& instance, PhotoId p,
+                      const std::vector<Membership>& lowered) {
+  for (const Membership& membership : instance.memberships(p)) {
+    const Subset& subset = instance.subset(membership.subset);
+    for (const Membership& slot : lowered) {
+      if (slot.subset != membership.subset) continue;
+      if (subset.sim_mode != Subset::SimMode::kSparse) return true;
+      if (slot.local_index == membership.local_index) return true;
+      const SparseSimRow row = subset.sparse_row(membership.local_index);
+      if (std::find(row.indices, row.indices + row.size, slot.local_index) !=
+          row.indices + row.size) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Removes `order` one photo at a time from an evaluator holding all of it;
+/// after each Remove, every GainOf and SubsetScore must equal a fresh
+/// evaluator's bit for bit, and every photo whose gain or subset whose score
+/// moved must read a slot Remove reported as lowered.
+void ExpectRemoveChainMatchesFresh(const ParInstance& instance,
+                                   std::vector<PhotoId> order) {
+  ObjectiveEvaluator evaluator(&instance, order);
+  while (!order.empty()) {
+    const PhotoId victim = order.front();
+    order.erase(order.begin());
+    std::vector<double> gains_before(instance.num_photos());
+    for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+      gains_before[p] = evaluator.GainOf(p);
+    }
+    std::vector<double> scores_before(instance.num_subsets());
+    for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
+      scores_before[q] = evaluator.SubsetScore(q);
+    }
+    const double loss = evaluator.RemovalLoss(victim);
+    std::vector<Membership> lowered;
+    EXPECT_EQ(evaluator.Remove(victim, &lowered), loss);
+    const ObjectiveEvaluator fresh(&instance, order);
+    EXPECT_NEAR(evaluator.score(), fresh.score(),
+                1e-12 * std::max(1.0, fresh.score()));
+    for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
+      EXPECT_EQ(evaluator.SubsetScore(q), fresh.SubsetScore(q))
+          << "victim " << victim << ", subset " << q;
+      if (evaluator.SubsetScore(q) != scores_before[q]) {
+        EXPECT_TRUE(std::any_of(lowered.begin(), lowered.end(),
+                                [&](const Membership& slot) {
+                                  return slot.subset == q;
+                                }))
+            << "subset " << q << " moved without a lowered slot";
+      }
+    }
+    for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+      EXPECT_EQ(evaluator.GainOf(p), fresh.GainOf(p))
+          << "victim " << victim << ", photo " << p;
+      if (p != victim && evaluator.GainOf(p) != gains_before[p]) {
+        EXPECT_TRUE(ReadsLoweredSlot(instance, p, lowered))
+            << "photo " << p << "'s gain moved without a lowered slot";
+      }
+    }
+  }
+}
+
+TEST_P(ObjectivePropertyTest, RemoveChainMatchesFreshEvaluator) {
+  for (const Subset::SimMode mode :
+       {Subset::SimMode::kUniform, Subset::SimMode::kDense,
+        Subset::SimMode::kSparse}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    RandomInstanceOptions options;
+    options.num_photos = 16;
+    options.num_subsets = 8;
+    options.max_subset_size = 8;
+    options.sim_sparsity = 0.3;
+    options.sim_levels = 4;  // many members tie for their best neighbor
+    options.sim_mode = mode;
+    const ParInstance instance = MakeRandomInstance(GetParam(), options);
+    Rng rng(GetParam() ^ 0xc4a1aULL);
+    std::vector<PhotoId> order(instance.num_photos());
+    for (PhotoId p = 0; p < instance.num_photos(); ++p) order[p] = p;
+    rng.Shuffle(order);
+    order.resize(1 + rng.NextBelow(order.size()));
+    ExpectRemoveChainMatchesFresh(instance, order);
+  }
+}
+
+TEST(ObjectiveRemovalTest, DuplicateMemberKeepsEveryBestSim) {
+  // Photos 0 and 1 are duplicates (similarity 1, equal rows) in a dense and
+  // a sparse subset; photo 3 shares a uniform subset with 1. With both
+  // duplicates selected, removing either lowers nothing.
+  ParInstance instance(4, {1, 1, 1, 1}, 4);
+  Subset dense;
+  dense.members = {0, 1, 2, 3};
+  dense.sim_mode = Subset::SimMode::kDense;
+  dense.dense_sim = {1.0f,  1.0f,  0.5f,  0.25f,  //
+                     1.0f,  1.0f,  0.5f,  0.25f,  //
+                     0.5f,  0.5f,  1.0f,  0.75f,  //
+                     0.25f, 0.25f, 0.75f, 1.0f};
+  instance.AddSubset(std::move(dense));
+  Subset sparse;
+  sparse.members = {2, 0, 1};
+  sparse.sim_mode = Subset::SimMode::kSparse;
+  sparse.SetSparseRows({{{1, 0.5f}, {2, 0.5f}},
+                        {{2, 1.0f}, {0, 0.5f}},  // filled out of order
+                        {{0, 0.5f}, {1, 1.0f}}});
+  instance.AddSubset(std::move(sparse));
+  Subset uniform;
+  uniform.members = {1, 3};
+  instance.AddSubset(std::move(uniform));
+  instance.NormalizeRelevance();
+  instance.Validate();
+
+  ObjectiveEvaluator evaluator(&instance, {0, 1, 3});
+  const double score = evaluator.score();
+  EXPECT_EQ(evaluator.RemovalLoss(0), 0.0);
+  std::vector<Membership> lowered;
+  EXPECT_EQ(evaluator.Remove(0, &lowered), 0.0);
+  EXPECT_TRUE(lowered.empty());
+  EXPECT_EQ(evaluator.score(), score);
+  const ObjectiveEvaluator fresh(&instance, {1, 3});
+  for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+    EXPECT_EQ(evaluator.GainOf(p), fresh.GainOf(p)) << "photo " << p;
+  }
+  ExpectRemoveChainMatchesFresh(instance, {1, 0, 3, 2});
+  ExpectRemoveChainMatchesFresh(instance, {3, 2, 1, 0});
+}
+
+TEST(InstanceTest, ValidateRejectsUnsortedSparseRows) {
+  ParInstance instance(3, {1, 1, 1}, 3);
+  Subset sparse;
+  sparse.members = {0, 1, 2};
+  sparse.sim_mode = Subset::SimMode::kSparse;
+  sparse.SetSparseRows({{{2, 0.5f}, {1, 0.5f}}, {{0, 0.5f}}, {{0, 0.5f}}});
+  EXPECT_EQ(sparse.sparse_indices[0], 1u) << "SetSparseRows sorts each row";
+  std::swap(sparse.sparse_indices[0], sparse.sparse_indices[1]);
+  instance.AddSubset(std::move(sparse));
+  instance.NormalizeRelevance();
+  EXPECT_THROW(instance.Validate(), CheckFailure);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ObjectivePropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 

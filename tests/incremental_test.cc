@@ -183,6 +183,29 @@ TEST(IncrementalTest, EvictionMatchesReevaluationReference) {
   }
 }
 
+TEST(IncrementalTest, EvictionBreaksDensityTiesBySeedPosition) {
+  // Every photo covers singleton subsets of its own, so each removal loss
+  // is its subset count and never changes; photo 5 covers two subsets at
+  // twice the cost. All six densities are exactly 1/10.
+  ParInstance instance(6, {10, 10, 10, 10, 10, 20}, 40);
+  for (PhotoId p : {0, 1, 2, 3, 4, 5, 5}) {
+    Subset singleton;
+    singleton.members = {p};
+    instance.AddSubset(std::move(singleton));
+  }
+  instance.MarkRequired(0);
+  instance.NormalizeRelevance();
+  instance.Validate();
+  const std::vector<PhotoId> order = {0, 4, 2, 5, 3, 1};
+  std::vector<PhotoId> reference_seed = order;
+  const std::vector<PhotoId> expected =
+      ReevaluationEviction(instance, reference_seed);
+  EXPECT_EQ(expected, (std::vector<PhotoId>{4, 2, 5}));
+  std::vector<PhotoId> seed = order;
+  EXPECT_EQ(FitSeedToBudget(instance, seed), expected);
+  EXPECT_EQ(seed, (std::vector<PhotoId>{0, 3, 1}));
+}
+
 TEST(IncrementalTest, NewRequiredPhotosJoinTheRetainedSet) {
   const Corpus full = GenerateOpenImagesCorpus(SmallOptions(5, 160));
   Stream stream = SplitCorpus(full, 120);

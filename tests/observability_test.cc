@@ -422,6 +422,25 @@ TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
                           "incremental.stage.evict",
                           "incremental.stage.top_up",
                           "incremental.stage.rebalance"}));
+    ASSERT_EQ(replan->children.size(), 4u);
+    // The work each stage did rides on its span.
+    const auto count = [](const telemetry::SpanRecord& stage,
+                          const std::string& key) {
+      for (const auto& [name, value] : stage.attributes) {
+        if (name == key) return std::stoll(value);
+      }
+      ADD_FAILURE() << stage.name << " lacks attribute " << key;
+      return -1LL;
+    };
+    const telemetry::SpanRecord& evict = replan->children[1];
+    const long long victims = count(evict, "victims");
+    EXPECT_GT(victims, 0) << "the shrink must evict";
+    EXPECT_EQ(count(evict, "rounds"), victims);
+    EXPECT_GE(count(evict, "removal_loss_evals"), victims);
+    const telemetry::SpanRecord& rebalance = replan->children[3];
+    EXPECT_GT(count(rebalance, "probes"), 0);
+    EXPECT_GT(count(rebalance, "keys_reused"), 0);
+    EXPECT_GT(count(rebalance, "keys_refreshed"), 0);
   }
   EXPECT_TRUE(found);
 }

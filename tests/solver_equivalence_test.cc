@@ -11,6 +11,7 @@
 /// Run under -DPHOCUS_SANITIZE=thread these tests also exercise the pool's
 /// per-call ParallelFor completion and the concurrent UC/CB passes.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include "phocus/system.h"
 #include "service/protocol.h"
 #include "tests/test_support.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace phocus {
@@ -252,6 +254,111 @@ TEST(LocalSearchEquivalenceTest, ParallelProbesMatchSequentialFirstImprovement) 
       EXPECT_GE(par.score, base.score);
     }
   }
+}
+
+/// The swap pass as it ran before refills were seeded: sequential first
+/// improvement, every refill starting from the lazy +inf seed.
+SolverResult UnseededLocalSearch(const ParInstance& instance,
+                                 SolverResult solution, int max_passes) {
+  constexpr double kMinRelativeGain = 1e-9;
+  ObjectiveEvaluator current(&instance, solution.selected);
+  for (int pass = 0; pass < max_passes; ++pass) {
+    bool accepted = false;
+    const std::vector<PhotoId> snapshot = solution.selected;
+    for (PhotoId victim : snapshot) {
+      std::vector<PhotoId> base = solution.selected;
+      const auto at = std::find(base.begin(), base.end(), victim);
+      if (instance.IsRequired(victim) || at == base.end()) continue;
+      base.erase(at);
+      ObjectiveEvaluator lane = current;
+      lane.Remove(victim);
+      const SolverResult refilled =
+          LazyGreedyComplete(instance, GreedyRule::kCostBenefit,
+                             SequentialOptions(), lane, std::move(base));
+      if (refilled.score > current.score() * (1.0 + kMinRelativeGain)) {
+        solution.selected = refilled.selected;
+        current = ObjectiveEvaluator(&instance, solution.selected);
+        accepted = true;
+      }
+    }
+    if (!accepted) break;
+  }
+  solution.score = current.score();
+  return solution;
+}
+
+/// `instance` with every third entry of each sparse row dropped: rows stay
+/// ascending but lose their mirrors.
+ParInstance DropMirrors(const ParInstance& instance) {
+  ParInstance out(instance.num_photos(), instance.costs(), instance.budget());
+  for (PhotoId p : instance.RequiredPhotos()) out.MarkRequired(p);
+  for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
+    Subset subset = instance.subset(q);
+    std::vector<std::vector<std::pair<std::uint32_t, float>>> rows(
+        subset.size());
+    std::size_t entry = 0;
+    for (std::uint32_t i = 0; i < subset.size(); ++i) {
+      const SparseSimRow row = subset.sparse_row(i);
+      for (std::uint32_t k = 0; k < row.size; ++k) {
+        if (++entry % 3 == 0) continue;
+        rows[i].emplace_back(row.indices[k], row.values[k]);
+      }
+    }
+    subset.SetSparseRows(rows);
+    out.AddSubset(std::move(subset));
+  }
+  return out;
+}
+
+TEST(LocalSearchEquivalenceTest, SeededRefillsMatchUnseeded) {
+  // Run by ctest under both kernel tables × 1 and 4 threads as well.
+  std::size_t accepted = 0;
+  for (const bool mirrored : {true, false}) {
+    for (const ModeCase& mode : kModes) {
+      if (!mirrored && mode.mode != Subset::SimMode::kSparse) continue;
+      for (std::uint64_t seed = 61; seed <= 64; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << mode.name << (mirrored ? "" : " without mirrors")
+                     << " seed " << seed);
+        auto options = InstanceOptionsFor(mode.mode);
+        options.required_fraction = 0.1;
+        options.sim_levels = 4;
+        const ParInstance generated =
+            testing::MakeRandomInstance(seed, options);
+        const ParInstance instance =
+            mirrored ? generated : DropMirrors(generated);
+        instance.Validate();
+        // A random fill leaves local search plenty of improving swaps.
+        SolverResult start;
+        start.selected = instance.RequiredPhotos();
+        for (PhotoId p : start.selected) start.cost += instance.cost(p);
+        Rng rng(seed);
+        std::vector<PhotoId> order(instance.num_photos());
+        for (PhotoId p = 0; p < instance.num_photos(); ++p) order[p] = p;
+        rng.Shuffle(order);
+        for (PhotoId p : order) {
+          if (instance.IsRequired(p) ||
+              start.cost + instance.cost(p) > instance.budget()) {
+            continue;
+          }
+          start.selected.push_back(p);
+          start.cost += instance.cost(p);
+        }
+
+        SolverResult seeded = start;
+        LocalSearchOptions ls;
+        const LocalSearchStats stats =
+            ImproveByLocalSearch(instance, seeded, ls);
+        const SolverResult unseeded =
+            UnseededLocalSearch(instance, start, ls.max_passes);
+        EXPECT_EQ(seeded.selected, unseeded.selected);
+        EXPECT_EQ(seeded.score, unseeded.score);
+        EXPECT_GT(stats.keys_reused + stats.keys_refreshed, 0u);
+        accepted += static_cast<std::size_t>(stats.moves_accepted);
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(LocalSearchEquivalenceTest, EvaluatePassCountsActualEvaluations) {

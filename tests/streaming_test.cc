@@ -923,6 +923,79 @@ TEST(WalScenario, PartialAppendIsRepairedAndLaterAcksSurviveRecovery) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(WalScenario, PartialPolicyAppendLeavesTheOldPolicyInMemoryAndLog) {
+  const std::string dir = FreshWalDir("policy_short_write");
+  const Corpus base = BaseCorpus();
+  const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
+  StreamingOptions options = BaseStreaming(base);
+  options.batch_photos = 64;  // queue only
+  StreamingArchiver archiver(options);
+  archiver.Initialize(base);
+  archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
+  Burst(archiver, 5, 1);
+
+  // A survivable partial write of the policy record: the change must not
+  // take effect in memory either, or the process would decide by a policy
+  // that a crash forgets.
+  StreamingOptions drain_early = options;
+  drain_early.batch_photos = 4;
+  {
+    failpoint::ScopedFailpoint guard("wal.append", "short_write");
+    EXPECT_THROW(archiver.set_policy(drain_early), failpoint::InjectedFault);
+  }
+  // Under the old policy the next burst still only queues...
+  const PhotoId next = static_cast<PhotoId>(base.num_photos() + 5);
+  EXPECT_FALSE(archiver.Ingest(ArrivalBatch(5, 2, next)).absorbed);
+  EXPECT_EQ(archiver.pending_photos(), 10u);
+
+  // ...and so it does after a crash, which recovers the logged policy.
+  std::unique_ptr<StreamingArchiver> recovered =
+      StreamingArchiver::RecoverFromWal(std::make_unique<IngestWal>(dir, "s"),
+                                        fingerprint);
+  EXPECT_EQ(recovered->pending_photos(), 10u);
+  const PhotoId after = static_cast<PhotoId>(base.num_photos() + 10);
+  EXPECT_FALSE(recovered->Ingest(ArrivalBatch(3, 3, after)).absorbed);
+  EXPECT_FALSE(archiver.Ingest(ArrivalBatch(3, 3, after)).absorbed);
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalScenario, PartialAbsorbAppendLeavesTheBatchesQueued) {
+  const std::string dir = FreshWalDir("absorb_short_write");
+  const Corpus base = BaseCorpus();
+  const std::uint64_t fingerprint = WalChecksum(EncodeCorpus(base));
+  StreamingOptions options = BaseStreaming(base);
+  options.batch_photos = 64;  // queue only
+  StreamingArchiver archiver(options);
+  archiver.Initialize(base);
+  archiver.AttachWal(std::make_unique<IngestWal>(dir, "s"), fingerprint);
+  Burst(archiver, 5, 1);
+  Burst(archiver, 6, 2);
+
+  // The flush's absorb marker tears: the drain must not have happened in
+  // memory, or the corpus would run ahead of what recovery rebuilds.
+  {
+    failpoint::ScopedFailpoint guard("wal.append", "short_write");
+    EXPECT_THROW(archiver.Flush(), failpoint::InjectedFault);
+  }
+  EXPECT_EQ(archiver.pending_photos(), 11u);
+  EXPECT_EQ(archiver.corpus().num_photos(), base.num_photos());
+
+  std::unique_ptr<StreamingArchiver> recovered =
+      StreamingArchiver::RecoverFromWal(std::make_unique<IngestWal>(dir, "s"),
+                                        fingerprint);
+  EXPECT_EQ(recovered->pending_photos(), 11u);
+  EXPECT_EQ(recovered->corpus().num_photos(), base.num_photos());
+
+  // The retried flush and the recovered one commit the same plan.
+  archiver.Flush();
+  recovered->Flush();
+  EXPECT_EQ(service::PlanToJson(recovered->plan()).Dump(1),
+            service::PlanToJson(archiver.plan()).Dump(1));
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(WalScenario, FsyncFaultRollsBackTheUnsyncedRecord) {
   const std::string dir = FreshWalDir("fsync_fault");
   const Corpus base = BaseCorpus();
