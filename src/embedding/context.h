@@ -42,6 +42,27 @@ std::vector<float> SubsetSimilarityMatrix(
     const std::vector<std::uint32_t>& members,
     const ContextSimilarityOptions& options = {});
 
+/// One subset's τ-sparsified SIM in CSR form: row i lists, in ascending
+/// order, the members j ≠ i whose similarity to i is at least τ.
+struct SparseSimilarity {
+  std::vector<std::uint32_t> offsets;  ///< m + 1 row starts
+  std::vector<std::uint32_t> indices;
+  std::vector<float> values;
+};
+
+/// SubsetSimilarityMatrix(vectors, exif, {0, …, m−1}, options) thresholded
+/// at τ — entries s ≠ diagonal with s >= float(τ) and s > 0 — bit for bit,
+/// without the dense matrix: one SweepPairs sweep yields the context's max
+/// pairwise distance and every pair that can reach τ after renormalizing
+/// (SIM ≤ 1 − d, since the max distance is at most 1), which are then
+/// rescaled with SubsetSimilarityMatrix's expressions. `vectors` and `exif`
+/// are the subset's own, indexed 0..m−1. Requires τ ∈ (0, 1] and
+/// exif_weight ∈ [0, 1].
+SparseSimilarity SubsetSimilarityAbove(
+    const std::vector<Embedding>& vectors,
+    const std::vector<ExifMetadata>* exif, double tau,
+    const ContextSimilarityOptions& options = {});
+
 /// Raw (non-contextual) pairwise similarity between two photos.
 double RawSimilarity(const std::vector<Embedding>& embeddings,
                      const std::vector<ExifMetadata>* exif, std::uint32_t a,

@@ -5,12 +5,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "embedding/pair_sweep.h"
 #include "lsh/simhash_index.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace phocus {
 
@@ -31,46 +31,21 @@ void ReportPairSearch(telemetry::TraceSpan& span, std::size_t vectors,
 std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau, PairSearchStats* stats) {
   telemetry::TraceSpan span("lsh.all_pairs");
+  const std::vector<std::vector<SimilarPair>> tiles =
+      SweepPairs<std::vector<SimilarPair>>(
+          vectors, [tau](std::vector<SimilarPair>& out, std::size_t i,
+                         std::size_t j, double sim) {
+            if (sim >= tau) {
+              out.push_back({static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(j),
+                             static_cast<float>(sim)});
+            }
+          });
   std::vector<SimilarPair> pairs;
-  const std::size_t m = vectors.size();
-  if (m >= 2) {
-    // Each norm once per call rather than twice per pair, with
-    // CosineSimilarity's expression and zero-norm rule (a product of float
-    // norms is zero only when one of them is), so every similarity keeps
-    // its bits.
-    std::vector<double> norms(m);
-    for (std::size_t i = 0; i < m; ++i) norms[i] = Norm(vectors[i]);
-    // Tiled upper-triangle sweep: each tile owns a contiguous row range and
-    // appends to its own vector; concatenating tiles in order reproduces
-    // the serial (i asc, j asc) output exactly. Several tiles per worker
-    // compensate for the triangle's shrinking rows.
-    const std::size_t threads = ThreadPool::Global().num_threads();
-    const std::size_t tiles =
-        std::min(m - 1, std::max<std::size_t>(1, threads * 8));
-    const std::size_t rows_per_tile = (m - 1 + tiles - 1) / tiles;
-    std::vector<std::vector<SimilarPair>> tile_pairs(tiles);
-    ThreadPool::Global().ParallelFor(tiles, [&](std::size_t tile) {
-      const std::size_t row_begin = tile * rows_per_tile;
-      const std::size_t row_end = std::min(m - 1, row_begin + rows_per_tile);
-      std::vector<SimilarPair>& out = tile_pairs[tile];
-      for (std::size_t i = row_begin; i < row_end; ++i) {
-        for (std::size_t j = i + 1; j < m; ++j) {
-          const double norms_product = norms[i] * norms[j];
-          const double sim = norms_product == 0.0
-                                 ? 0.0
-                                 : Dot(vectors[i], vectors[j]) / norms_product;
-          if (sim >= tau) {
-            out.push_back({static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(j),
-                           static_cast<float>(sim)});
-          }
-        }
-      }
-    });
-    for (const std::vector<SimilarPair>& out : tile_pairs) {
-      pairs.insert(pairs.end(), out.begin(), out.end());
-    }
+  for (const std::vector<SimilarPair>& out : tiles) {
+    pairs.insert(pairs.end(), out.begin(), out.end());
   }
+  const std::size_t m = vectors.size();
   const std::size_t candidates = m < 2 ? 0 : m * (m - 1) / 2;
   if (stats != nullptr) {
     stats->vectors = m;

@@ -42,11 +42,10 @@ struct PairSearchStats {
   double seconds = 0.0;
 };
 
-/// Exhaustive O(m²) sweep (BuildInstance's large-subset search and the §4.3
-/// baseline): every pair with CosineSimilarity >= tau, bit for bit, with
-/// each norm computed once per call. Parallel row tiles concatenate in tile
-/// order, so the result is the serial (i asc, j asc) sweep's for any thread
-/// count.
+/// Exhaustive O(m²) sweep (the §4.3 exact baseline): every pair with
+/// CosineSimilarity >= tau, bit for bit, in (i asc, j asc) order for any
+/// thread count. One SweepPairs call (embedding/pair_sweep.h), so each norm
+/// is computed once per call.
 std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau,
                                        PairSearchStats* stats = nullptr);

@@ -7,7 +7,6 @@
 #include "core/celf.h"
 #include "core/local_search.h"
 #include "core/objective.h"
-#include "core/online_bound.h"
 #include "phocus/representation.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -15,40 +14,6 @@
 #include "util/logging.h"
 
 namespace phocus {
-
-namespace {
-
-/// Rebuilds the plan record (retained/archived lists, coverage, bounds)
-/// from a selection — the same bookkeeping PhocusSystem::PlanArchiveWith
-/// performs after its solver run.
-ArchivePlan MakePlan(const ParInstance& instance, SolverResult result,
-                     const ArchiveOptions& options) {
-  CheckFeasible(instance, result);
-  ArchivePlan plan;
-  plan.solver_result = std::move(result);
-  plan.retained = plan.solver_result.selected;
-  std::sort(plan.retained.begin(), plan.retained.end());
-  std::vector<bool> kept(instance.num_photos(), false);
-  for (PhotoId p : plan.retained) kept[p] = true;
-  for (PhotoId p = 0; p < instance.num_photos(); ++p) {
-    if (kept[p]) {
-      plan.retained_bytes += instance.cost(p);
-    } else {
-      plan.archived.push_back(p);
-      plan.archived_bytes += instance.cost(p);
-    }
-  }
-  plan.score = plan.solver_result.score;
-  plan.max_score = ObjectiveEvaluator::MaxScore(instance);
-  plan.score_fraction = plan.max_score > 0 ? plan.score / plan.max_score : 1.0;
-  if (options.compute_online_bound) {
-    plan.online_bound =
-        ComputeOnlineBound(instance, plan.solver_result.selected);
-  }
-  return plan;
-}
-
-}  // namespace
 
 std::vector<PhotoId> FitSeedToBudget(const ParInstance& instance,
                                      std::vector<PhotoId>& seed,
@@ -151,9 +116,10 @@ const ArchivePlan& IncrementalArchiver::Initialize(Corpus corpus) {
   PHOCUS_CHECK(!initialized_, "Initialize called twice");
   corpus_ = std::move(corpus);
   PhocusSystem system(corpus_);
-  plan_ = system.PlanArchive(options_.archive);
+  plan_ = std::make_shared<const ArchivePlan>(
+      system.PlanArchive(options_.archive));
   initialized_ = true;
-  return plan_;
+  return *plan_;
 }
 
 const ArchivePlan& IncrementalArchiver::InitializeFromRetained(
@@ -173,13 +139,14 @@ const ArchivePlan& IncrementalArchiver::InitializeFromRetained(
   result.selected = std::move(retained);
   for (PhotoId p : result.selected) result.cost += instance.cost(p);
   result.score = ObjectiveEvaluator::Evaluate(instance, result.selected);
-  // MakePlan re-checks feasibility, so a checkpoint whose retained set does
-  // not fit this budget (it always came from a committed plan, so it should)
-  // fails loudly instead of installing an infeasible plan.
-  plan_ = MakePlan(instance, std::move(result), options_.archive);
+  // AssemblePlan re-checks feasibility, so a checkpoint whose retained set
+  // does not fit this budget (it always came from a committed plan, so it
+  // should) fails loudly instead of installing an infeasible plan.
+  plan_ = std::make_shared<const ArchivePlan>(
+      AssemblePlan(instance, std::move(result), options_.archive));
   deferred_photos_ = deferred_photos;
   initialized_ = true;
-  return plan_;
+  return *plan_;
 }
 
 const ArchivePlan& IncrementalArchiver::AddPhotos(
@@ -202,14 +169,13 @@ const ArchivePlan& IncrementalArchiver::SetBudget(
 const ArchivePlan& IncrementalArchiver::ReplanAfter(
     const std::function<void(IncrementalUpdateStats*)>& defer,
     IncrementalUpdateStats* stats) {
-  // Photos/subsets and the plan's archived side only grow (truncate back to
-  // the old size), but `required` is sorted + deduplicated in place, so it
-  // needs a full copy.
+  // Photos/subsets only grow (truncate back to the old size), but
+  // `required` is sorted + deduplicated in place, so it needs a full copy.
+  // Plans are never changed in place, so the old one is kept by reference.
   const std::size_t photos = corpus_.photos.size();
   const std::size_t subsets = corpus_.subsets.size();
   std::vector<PhotoId> required = corpus_.required;
-  const std::size_t archived = plan_.archived.size();
-  const Cost archived_bytes = plan_.archived_bytes;
+  const std::shared_ptr<const ArchivePlan> plan = plan_;
   const std::size_t deferred = deferred_photos_;
   const Cost budget = options_.archive.budget;
   IncrementalUpdateStats local_stats;
@@ -223,14 +189,13 @@ const ArchivePlan& IncrementalArchiver::ReplanAfter(
     corpus_.photos.resize(photos);
     corpus_.subsets.resize(subsets);
     corpus_.required = std::move(required);
-    plan_.archived.resize(archived);
-    plan_.archived_bytes = archived_bytes;
+    plan_ = plan;
     deferred_photos_ = deferred;
     options_.archive.budget = budget;
     throw;
   }
   if (stats != nullptr) *stats = local_stats;
-  return plan_;
+  return *plan_;
 }
 
 void IncrementalArchiver::AddPhotosDeferred(
@@ -251,13 +216,16 @@ void IncrementalArchiver::AddPhotosDeferred(
   local_stats.subsets_added = new_subsets.size();
 
   const PhotoId first_new = static_cast<PhotoId>(corpus_.photos.size());
+  // Arrivals are cold-by-default: extend the active plan's archived side so
+  // it keeps covering the whole corpus until the next replan. A copy, since
+  // a published plan never changes.
+  auto grown = std::make_shared<ArchivePlan>(*plan_);
   for (CorpusPhoto& photo : photos) {
-    // Arrivals are cold-by-default: extend the active plan's archived side so
-    // it keeps covering the whole corpus until the next replan.
-    plan_.archived.push_back(static_cast<PhotoId>(corpus_.photos.size()));
-    plan_.archived_bytes += photo.bytes;
+    grown->archived.push_back(static_cast<PhotoId>(corpus_.photos.size()));
+    grown->archived_bytes += photo.bytes;
     corpus_.photos.push_back(std::move(photo));
   }
+  plan_ = std::move(grown);
   for (SubsetSpec& spec : new_subsets) corpus_.subsets.push_back(std::move(spec));
   for (PhotoId p : new_required) corpus_.required.push_back(p);
   std::sort(corpus_.required.begin(), corpus_.required.end());
@@ -280,7 +248,7 @@ DriftEstimate IncrementalArchiver::EstimateDrift() {
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.drift_evals")
       .Increment();
-  return EstimateObjectiveDrift(instance, plan_.retained);
+  return EstimateObjectiveDrift(instance, plan_->retained);
 }
 
 const ArchivePlan& IncrementalArchiver::ReplanNow(
@@ -289,7 +257,7 @@ const ArchivePlan& IncrementalArchiver::ReplanNow(
   IncrementalUpdateStats local_stats;
   Replan(local_stats);
   if (stats != nullptr) *stats = local_stats;
-  return plan_;
+  return *plan_;
 }
 
 void IncrementalArchiver::SetBudgetDeferred(Cost budget) {
@@ -321,7 +289,7 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats& stats) {
 
   // Seed with what we previously retained (dropping nothing silently; the
   // previous retained ids are stable because appends never renumber).
-  std::vector<PhotoId> seed = plan_.retained;
+  std::vector<PhotoId> seed = plan_->retained;
   telemetry::TraceSpan evict("incremental.stage.evict");
   const std::size_t victims = FitSeedToBudget(instance, seed, &stats).size();
   evict.SetAttribute("rounds", static_cast<std::uint64_t>(victims));
@@ -350,7 +318,8 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats& stats) {
   rebalance.Close();
   result.solver_name = "PHOcus-incremental";
   stats.gain_evaluations += result.gain_evaluations;
-  plan_ = MakePlan(instance, std::move(result), options_.archive);
+  plan_ = std::make_shared<const ArchivePlan>(
+      AssemblePlan(instance, std::move(result), options_.archive));
   deferred_photos_ = 0;  // every deferred arrival is now in the plan
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.replans")

@@ -2,6 +2,7 @@
 #define PHOCUS_PHOCUS_INCREMENTAL_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/online_bound.h"
@@ -144,7 +145,11 @@ class IncrementalArchiver {
   /// estimate instead of forcing one (budget rebalancing as costs grow).
   void SetBudgetDeferred(Cost budget);
 
-  const ArchivePlan& plan() const { return plan_; }
+  const ArchivePlan& plan() const { return *plan_; }
+  /// The current plan, shared. Plans are never changed once published:
+  /// appends and replans install a new one, so a holder keeps a stable
+  /// snapshot without copying it.
+  std::shared_ptr<const ArchivePlan> shared_plan() const { return plan_; }
   const Corpus& corpus() const { return corpus_; }
   const IncrementalOptions& options() const { return options_; }
   /// Photos appended via AddPhotosDeferred that no replan has absorbed yet.
@@ -162,7 +167,8 @@ class IncrementalArchiver {
 
   IncrementalOptions options_;
   Corpus corpus_;
-  ArchivePlan plan_;
+  std::shared_ptr<const ArchivePlan> plan_ =
+      std::make_shared<const ArchivePlan>();
   bool initialized_ = false;
   std::size_t deferred_photos_ = 0;
 };

@@ -11,9 +11,9 @@
 /// materializes the contextualized similarity function in the storage mode
 /// the solver will consume:
 ///   - dense contextual SIM (the PHOcus-NS input),
-///   - τ-sparsified SIM (the PHOcus input): subsets of up to 192 members
-///     threshold their dense contextual matrix; larger ones keep the raw
-///     cosine pairs >= τ from one exact all-pairs sweep (AllPairsAbove),
+///   - τ-sparsified SIM (the PHOcus input): the same contextual SIM at
+///     every subset size, each subset's pairs >= τ taken from one exact
+///     all-pairs sweep (SubsetSimilarityAbove) without a dense matrix,
 ///   - a non-contextual surrogate (same cosine for every context) used by
 ///     the Greedy-NCS baseline.
 

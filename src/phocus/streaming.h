@@ -196,6 +196,9 @@ class StreamingArchiver {
   IngestOutcome set_policy(const StreamingOptions& options);
 
   const ArchivePlan& plan() const { return archiver_.plan(); }
+  std::shared_ptr<const ArchivePlan> shared_plan() const {
+    return archiver_.shared_plan();
+  }
   const Corpus& corpus() const { return archiver_.corpus(); }
   const IncrementalArchiver& archiver() const { return archiver_; }
   std::size_t pending_photos() const { return pending_photos_; }

@@ -27,12 +27,12 @@ ArchivePlan PhocusSystem::PlanArchive(const ArchiveOptions& options) const {
 ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
                                           Solver& solver) const {
   PHOCUS_CHECK(options.budget > 0, "archive budget must be positive");
-  ArchivePlan plan;
   auto& registry = telemetry::MetricsRegistry::Current();
   telemetry::TraceSpan root("system.plan_archive");
   root.SetAttribute("photos", static_cast<std::uint64_t>(corpus_.photos.size()));
   root.SetAttribute("budget", static_cast<std::uint64_t>(options.budget));
 
+  double build_seconds = 0.0;
   const ParInstance instance = [&] {
     telemetry::TraceSpan stage(
         "system.stage.representation",
@@ -44,19 +44,38 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
     // and must find the index already constructed (contract in instance.h).
     built.BuildMembershipIndex();
     stage.SetAttribute("subsets", static_cast<std::uint64_t>(built.num_subsets()));
-    plan.build_seconds = stage.ElapsedSeconds();
+    build_seconds = stage.ElapsedSeconds();
     return built;
   }();
 
+  SolverResult result;
+  double solve_seconds = 0.0;
   {
     telemetry::TraceSpan stage("system.stage.solve",
                                &registry.GetHistogram("system.stage.solve_ns"));
     stage.SetAttribute("solver", solver.name());
-    plan.solver_result = solver.Solve(instance);
-    plan.solve_seconds = stage.ElapsedSeconds();
+    result = solver.Solve(instance);
+    solve_seconds = stage.ElapsedSeconds();
   }
-  CheckFeasible(instance, plan.solver_result);
+  ArchivePlan plan = AssemblePlan(instance, std::move(result), options);
+  plan.build_seconds = build_seconds;
+  plan.solve_seconds = solve_seconds;
+  root.SetAttribute("score", plan.score);
+  root.SetAttribute("retained", static_cast<std::uint64_t>(plan.retained.size()));
+  plan.trace = root.Close();
+  PHOCUS_LOG(kDebug) << "plan_archive: retained " << plan.retained.size() << "/"
+                     << corpus_.photos.size() << " photos, score "
+                     << plan.score << ", certified "
+                     << plan.online_bound.certified_ratio;
+  return plan;
+}
 
+ArchivePlan AssemblePlan(const ParInstance& instance, SolverResult result,
+                         const ArchiveOptions& options) {
+  CheckFeasible(instance, result);
+  auto& registry = telemetry::MetricsRegistry::Current();
+  ArchivePlan plan;
+  plan.solver_result = std::move(result);
   plan.retained = plan.solver_result.selected;
   std::sort(plan.retained.begin(), plan.retained.end());
   std::vector<bool> kept(instance.num_photos(), false);
@@ -109,13 +128,6 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
       plan.subset_coverage.push_back(std::move(coverage));
     }
   }
-  root.SetAttribute("score", plan.score);
-  root.SetAttribute("retained", static_cast<std::uint64_t>(plan.retained.size()));
-  plan.trace = root.Close();
-  PHOCUS_LOG(kDebug) << "plan_archive: retained " << plan.retained.size() << "/"
-                     << corpus_.photos.size() << " photos, score "
-                     << plan.score << ", certified "
-                     << plan.online_bound.certified_ratio;
   return plan;
 }
 

@@ -86,6 +86,14 @@ class PhocusSystem {
   Corpus corpus_;
 };
 
+/// The plan record for a solver's `result` on `instance`: the feasibility
+/// check, retained/archived lists and bytes, score fraction, online bound
+/// (when `options` asks) and per-subset coverage rows. Every planner —
+/// PlanArchiveWith and the incremental replans — returns its plan from
+/// here; the caller fills the timings and trace.
+ArchivePlan AssemblePlan(const ParInstance& instance, SolverResult result,
+                         const ArchiveOptions& options);
+
 /// Renders a human-readable plan summary (used by examples).
 std::string DescribePlan(const ArchivePlan& plan, std::size_t max_rows = 10);
 

@@ -156,7 +156,7 @@ StreamingArchiver& Session::StreamerLocked(const ArchiveOptions& options) {
     }
     if (streamer_ != nullptr) {
       InvalidateLocked();  // the recovered corpus has grown past the base
-      last_plan_ = std::make_shared<const ArchivePlan>(streamer_->plan());
+      last_plan_ = streamer_->shared_plan();
       last_options_ = streamer_->archiver().options().archive;
     }
   }
@@ -195,7 +195,7 @@ Session::IngestResult Session::StreamLocked(
   }
   if (result.outcome.absorbed) InvalidateLocked();
   if (result.outcome.replanned) {
-    result.plan = std::make_shared<const ArchivePlan>(streamer_->plan());
+    result.plan = streamer_->shared_plan();
     last_plan_ = result.plan;
   }
   result.num_photos = streamer_->corpus().num_photos();

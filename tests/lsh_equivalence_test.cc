@@ -7,8 +7,6 @@
 #include "embedding/vector_ops.h"
 #include "lsh/similar_pairs.h"
 #include "lsh/simhash_index.h"
-#include "phocus/representation.h"
-#include "telemetry/metrics.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -17,8 +15,7 @@
 /// The parallel sharded pair-search engine must be bit-identical to the
 /// serial reference: same pairs (ids and similarity bits), same
 /// deterministic stats, for any shard count — and an incrementally grown
-/// SimHashIndex must equal a from-scratch build. BuildInstance's
-/// large-subset rows must equal a brute-force CosineSimilarity sweep.
+/// SimHashIndex must equal a from-scratch build.
 /// Cross-PHOCUS_NUM_THREADS determinism is covered by the lsh_determinism
 /// subprocess ctest (the pool size is fixed per process); these tests run
 /// on whatever pool this process has plus every shard layout.
@@ -191,57 +188,6 @@ TEST(LshFailpointTest, BucketizeAndVerifyFailpointsFire) {
   }
   // Disarmed again: the search works.
   EXPECT_NO_THROW(LshPairsAbove(vectors, 0.8));
-}
-
-// ---------------------------------------------------------------------------
-// BuildInstance's large-subset path: one exact sweep, no LSH.
-
-TEST(LargeSubsetPairsTest, SparseRowsEqualBruteForceCosine) {
-  // One 300-member subset, above the 192-member dense cutoff. SimHash
-  // banding at τ = 0.5 (128 bits, SuggestBands, seed 0xfeed) misses one of
-  // its 1455 τ-pairs; the exact sweep must not.
-  const auto vectors = MakeClusteredVectors(30, 10, 32, 0.12, 717);
-  const double tau = 0.5;
-  Corpus corpus;
-  SubsetSpec all;
-  for (std::size_t p = 0; p < vectors.size(); ++p) {
-    CorpusPhoto& photo = corpus.photos.emplace_back();
-    photo.embedding = vectors[p];
-    photo.bytes = 1000;
-    all.members.push_back(static_cast<PhotoId>(p));
-  }
-  corpus.subsets.push_back(std::move(all));
-  RepresentationOptions options;
-  options.sparsify_tau = tau;
-
-  auto& signatures = telemetry::MetricsRegistry::Current().GetCounter(
-      "lsh.signatures_computed");
-  const std::uint64_t signatures_before = signatures.value();
-  const ParInstance instance =
-      BuildInstance(corpus, corpus.TotalBytes() / 3, options);
-  EXPECT_EQ(signatures.value(), signatures_before);
-
-  const std::size_t m = vectors.size();
-  std::vector<std::vector<std::pair<std::uint32_t, float>>> rows(m);
-  for (std::uint32_t i = 0; i < m; ++i) {
-    for (std::uint32_t j = i + 1; j < m; ++j) {
-      const double sim = CosineSimilarity(vectors[i], vectors[j]);
-      if (sim < tau) continue;
-      const float s = std::min(1.0f, static_cast<float>(sim));
-      rows[i].emplace_back(j, s);
-      rows[j].emplace_back(i, s);
-    }
-  }
-  Subset expected;
-  expected.members = corpus.subsets[0].members;
-  expected.SetSparseRows(rows);
-
-  const Subset& got = instance.subset(0);
-  ASSERT_EQ(got.sim_mode, Subset::SimMode::kSparse);
-  EXPECT_EQ(got.sparse_offsets, expected.sparse_offsets);
-  EXPECT_EQ(got.sparse_indices, expected.sparse_indices);
-  // Every value is >= τ > 0, so float equality is bit equality.
-  EXPECT_EQ(got.sparse_values, expected.sparse_values);
 }
 
 }  // namespace

@@ -421,8 +421,12 @@ TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
                           "incremental.stage.build_instance",
                           "incremental.stage.evict",
                           "incremental.stage.top_up",
-                          "incremental.stage.rebalance"}));
-    ASSERT_EQ(replan->children.size(), 4u);
+                          "incremental.stage.rebalance",
+                          // AssemblePlan's report stages, shared with
+                          // PlanArchive.
+                          "system.stage.online_bound",
+                          "system.stage.coverage"}));
+    ASSERT_EQ(replan->children.size(), 6u);
     // The work each stage did rides on its span.
     const auto count = [](const telemetry::SpanRecord& stage,
                           const std::string& key) {

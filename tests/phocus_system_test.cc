@@ -7,9 +7,12 @@
 #include "core/celf.h"
 #include "core/objective.h"
 #include "datagen/openimages.h"
+#include "imaging/exif.h"
 #include "phocus/instance_io.h"
 #include "phocus/representation.h"
 #include "phocus/system.h"
+#include "service/protocol.h"
+#include "telemetry/metrics.h"
 #include "tests/test_support.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -98,8 +101,8 @@ TEST(RepresentationTest, NonContextualDiffersFromContextual) {
 }
 
 TEST(RepresentationTest, LargeSubsetPathProducesValidSparseInstance) {
-  // Large enough that some subset exceeds the 192-member dense cutoff and
-  // takes the all-pairs path.
+  // Some subset exceeds 192 members; every subset, whatever its size,
+  // must carry the thresholded dense contextual matrix.
   const Corpus corpus = SmallCorpus(4, 600);
   ASSERT_TRUE(std::any_of(
       corpus.subsets.begin(), corpus.subsets.end(),
@@ -109,8 +112,124 @@ TEST(RepresentationTest, LargeSubsetPathProducesValidSparseInstance) {
   const ParInstance instance =
       BuildInstance(corpus, corpus.TotalBytes() / 4, options);
   instance.Validate();
+  for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
+    EXPECT_EQ(testing::SparseRowsDiff(
+                  instance.subset(q), testing::DenseThresholdedSubset(
+                                          corpus, corpus.subsets[q], options)),
+              "")
+        << corpus.subsets[q].name;
+  }
   CelfSolver solver;
   CheckFeasible(instance, solver.Solve(instance));
+}
+
+// ------------------------------------------------ representation oracle ----
+// Every τ-sparsified subset must be the dense contextual matrix thresholded
+// at τ, bit for bit, whatever its size. Also registered as ctest
+// `representation_oracle_t{1,4}` under PHOCUS_NUM_THREADS 1 and 4, since
+// large sweeps fan out on the global pool.
+
+/// 300 photos (d = 32) in 30 tight clusters with per-cluster EXIF, one
+/// zero embedding and one exact duplicate; subsets of m ∈ {1, 2, 9, 192,
+/// 193, 300} members, each walking the photos with its own stride.
+Corpus OracleCorpus() {
+  constexpr std::size_t kPhotos = 300, kDim = 32;
+  Rng rng(717);
+  Corpus corpus;
+  for (std::size_t c = 0; c < 30; ++c) {
+    Embedding center(kDim);
+    for (float& x : center) x = static_cast<float>(rng.Normal());
+    const std::int64_t when = 1'600'000'000 + static_cast<std::int64_t>(c) * 86'400;
+    const double lat = rng.Uniform(-60.0, 60.0), lon = rng.Uniform(-170.0, 170.0);
+    for (std::size_t i = 0; i < kPhotos / 30; ++i) {
+      CorpusPhoto& photo = corpus.photos.emplace_back();
+      photo.embedding = center;
+      for (float& x : photo.embedding) {
+        x += static_cast<float>(rng.Normal(0.0, 0.3));
+      }
+      photo.exif = SampleExif(rng, when, lat, lon);
+      photo.bytes = 1000 + corpus.photos.size();
+    }
+  }
+  std::fill(corpus.photos[5].embedding.begin(),
+            corpus.photos[5].embedding.end(), 0.0f);
+  corpus.photos[7].embedding = corpus.photos[6].embedding;
+  const std::size_t sizes[] = {1, 2, 9, 192, 193, 300};
+  const std::size_t strides[] = {1, 7, 11, 13, 17, 19};  // coprime to 300
+  for (std::size_t s = 0; s < 6; ++s) {
+    SubsetSpec& spec = corpus.subsets.emplace_back();
+    spec.name = StrFormat("m%zu", sizes[s]);
+    for (std::size_t i = 0; i < sizes[s]; ++i) {
+      spec.members.push_back(static_cast<PhotoId>((i * strides[s]) % kPhotos));
+    }
+  }
+  return corpus;
+}
+
+TEST(RepresentationOracleTest, SparseRowsEqualThresholdedDenseMatrix) {
+  const Corpus corpus = OracleCorpus();
+  auto& signatures = telemetry::MetricsRegistry::Current().GetCounter(
+      "lsh.signatures_computed");
+  const std::uint64_t signatures_before = signatures.value();
+  std::size_t nonempty = 0;
+  for (const bool context_normalize : {true, false}) {
+    for (const double exif_weight : {0.0, 0.3}) {
+      for (const double tau : {0.3, 0.5, 0.9}) {
+        RepresentationOptions options;
+        options.context_normalize = context_normalize;
+        options.exif_weight = exif_weight;
+        options.sparsify_tau = tau;
+        const ParInstance instance =
+            BuildInstance(corpus, corpus.TotalBytes() / 3, options);
+        instance.Validate();
+        for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
+          const Subset want = testing::DenseThresholdedSubset(
+              corpus, corpus.subsets[q], options);
+          EXPECT_EQ(testing::SparseRowsDiff(instance.subset(q), want), "")
+              << corpus.subsets[q].name << " ctx=" << context_normalize
+              << " exif=" << exif_weight << " tau=" << tau;
+          if (!want.sparse_indices.empty()) ++nonempty;
+        }
+      }
+    }
+  }
+  // The grid is not vacuous, and no path hashes (the sweep is exact).
+  EXPECT_GE(nonempty, 40u);
+  EXPECT_EQ(signatures.value(), signatures_before);
+}
+
+TEST(RepresentationOracleTest, PlanBytesEqualTheDenseThresholdedInstances) {
+  // The whole plan, not just the rows: solving the built instance and the
+  // oracle's instance gives the same serialized plan.
+  for (const std::size_t photos : {120, 600}) {
+    const Corpus corpus = SmallCorpus(3, photos);
+    ArchiveOptions options;
+    options.budget = corpus.TotalBytes() / 4;
+    const RepresentationOptions& repr = options.representation;
+    const ParInstance built = BuildInstance(corpus, options.budget, repr);
+    std::vector<Cost> costs;
+    for (PhotoId p = 0; p < built.num_photos(); ++p) {
+      costs.push_back(built.cost(p));
+    }
+    ParInstance oracle(built.num_photos(), std::move(costs), options.budget);
+    for (PhotoId p : built.RequiredPhotos()) oracle.MarkRequired(p);
+    for (SubsetId q = 0; q < built.num_subsets(); ++q) {
+      Subset subset =
+          testing::DenseThresholdedSubset(corpus, corpus.subsets[q], repr);
+      subset.name = built.subset(q).name;
+      subset.weight = built.subset(q).weight;
+      subset.relevance = built.subset(q).relevance;
+      oracle.AddSubset(std::move(subset));
+    }
+    const auto plan_bytes = [&](const ParInstance& instance) {
+      instance.BuildMembershipIndex();
+      CelfSolver solver;
+      return service::PlanToJson(
+                 AssemblePlan(instance, solver.Solve(instance), options))
+          .Dump();
+    };
+    EXPECT_EQ(plan_bytes(built), plan_bytes(oracle)) << photos << " photos";
+  }
 }
 
 TEST(RepresentationTest, RequiredPhotosCarryOver) {

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/objective.h"
 #include "datagen/openimages.h"
 #include "phocus/system.h"
 #include "service/client.h"
@@ -138,6 +139,75 @@ TEST_F(ServiceTest, PlanCacheHitIsServedWithoutAResolve) {
   const Json after = client.Call("plan", Json(params));
   EXPECT_FALSE(after.Get("cached").AsBool());
   EXPECT_NE(after.Get("plan").Dump(), first.Get("plan").Dump());
+}
+
+/// The coverage rows a fresh plan assembly gives for the wire plan
+/// `plan`'s retained set on `corpus` at `budget`, serialized like the wire.
+std::string FreshCoverageDump(const Corpus& corpus, Cost budget,
+                              const Json& plan) {
+  ArchiveOptions options;
+  options.budget = budget;
+  const ParInstance instance =
+      BuildInstance(corpus, budget, options.representation);
+  SolverResult result;
+  for (const Json& id : plan.Get("retained").items()) {
+    result.selected.push_back(static_cast<PhotoId>(id.AsInt()));
+    result.cost += instance.cost(result.selected.back());
+  }
+  result.score = ObjectiveEvaluator::Evaluate(instance, result.selected);
+  return PlanToJson(AssemblePlan(instance, std::move(result), options))
+      .Get("coverage")
+      .Dump();
+}
+
+TEST_F(ServiceTest, CoverageAfterReplansMatchesAFreshComputation) {
+  // docs/SERVICE.md: a plan carries one coverage row per subset, and the
+  // `coverage` endpoint serves them, also when the plan came from an
+  // incremental replan (the second set_budget and the update below).
+  StartServer(ServerOptions{});
+  ServiceClient client = Connect();
+  const std::string session = client.CreateSession(CorpusSpec(17));
+  Corpus corpus = GenerateOpenImagesCorpus(TestCorpusOptions(17));
+  const auto served_rows = [&] {
+    Json params = Json::Object();
+    params.Set("session", session);
+    return client.Call("coverage", std::move(params)).Get("rows").Dump();
+  };
+  const auto expect_fresh_rows = [&](const Json& reply, Cost budget) {
+    const std::string fresh =
+        FreshCoverageDump(corpus, budget, reply.Get("plan"));
+    EXPECT_NE(fresh, "[]");
+    EXPECT_EQ(reply.Get("plan").Get("coverage").Dump(), fresh);
+    EXPECT_EQ(served_rows(), fresh);
+  };
+  // The first set_budget solves from scratch, the second replans.
+  for (const Cost budget : {kTestBudget, Cost{1'200'000}}) {
+    Json params = Json::Object();
+    params.Set("session", session);
+    params.Set("budget", budget);
+    expect_fresh_rows(client.Call("set_budget", std::move(params)), budget);
+  }
+  Json update = Json::Object();
+  update.Set("session", session);
+  update.Set("count", 5);
+  update.Set("seed", 99);
+  const Json reply = client.Call("update", std::move(update));
+  // The server's arrivals: a 5-photo corpus appended at id 60, its subset
+  // names suffixed with the offset.
+  OpenImagesOptions arrivals_options;
+  arrivals_options.num_photos = 5;
+  arrivals_options.seed = 99;
+  Corpus arrivals = GenerateOpenImagesCorpus(arrivals_options);
+  const auto offset = static_cast<PhotoId>(corpus.photos.size());
+  for (CorpusPhoto& photo : arrivals.photos) {
+    corpus.photos.push_back(std::move(photo));
+  }
+  for (SubsetSpec& spec : arrivals.subsets) {
+    spec.name += "@" + std::to_string(offset);
+    for (PhotoId& member : spec.members) member += offset;
+    corpus.subsets.push_back(std::move(spec));
+  }
+  expect_fresh_rows(reply, 1'200'000);
 }
 
 TEST_F(ServiceTest, EightConcurrentClientsEndToEnd) {

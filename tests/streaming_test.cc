@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/celf.h"
+#include "core/objective.h"
 #include "core/online_bound.h"
 #include "datagen/corpus_io.h"
 #include "datagen/openimages.h"
@@ -25,6 +26,7 @@
 #include "storage/vault.h"
 #include "telemetry/metrics.h"
 #include "tests/scenario_support.h"
+#include "tests/test_support.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -289,6 +291,58 @@ TEST(StreamingScenario, BackfillOfOldAlbumsJoinsThePlan) {
   archiver.Flush();
   EXPECT_EQ(archiver.plan().retained.size() + archiver.plan().archived.size(),
             corpus.num_photos());
+}
+
+TEST(StreamingScenario, AlbumGrowingPast192MembersKeepsTheContextualSim) {
+  // An album page re-sent as it grows from 190 to 200 members, one arrival
+  // per ingest, across 192 members, where a size-dependent SIM would show.
+  // Every replan's τ-graph must stay the thresholded dense contextual
+  // matrix, and the plan's coverage must be read off it.
+  const Corpus base = BaseCorpus(190);
+  StreamingOptions options = BaseStreaming(base);
+  options.replan_every_batch = true;
+  StreamingArchiver archiver(options);
+  Corpus initial = base;
+  SubsetSpec album;
+  album.name = "album@190";
+  album.weight = 3.0;
+  for (PhotoId p = 0; p < 190; ++p) album.members.push_back(p);
+  initial.subsets.push_back(album);
+  archiver.Initialize(std::move(initial));
+
+  const ArchiveOptions& archive = options.incremental.archive;
+  for (std::uint64_t step = 1; step <= 10; ++step) {
+    const auto offset = static_cast<PhotoId>(archiver.corpus().num_photos());
+    IngestBatch batch;
+    batch.photos = ArrivalBatch(1, 500 + step, offset).photos;
+    album.name = "album@" + std::to_string(offset + 1);
+    album.members.push_back(offset);
+    batch.subsets.push_back(album);
+    ASSERT_TRUE(archiver.Ingest(std::move(batch)).replanned);
+
+    const Corpus& corpus = archiver.corpus();
+    const SubsetId q = static_cast<SubsetId>(corpus.subsets.size() - 1);
+    ASSERT_EQ(corpus.subsets[q].members.size(), 190 + step);
+    const ParInstance instance =
+        BuildInstance(corpus, archive.budget, archive.representation);
+    EXPECT_EQ(testing::SparseRowsDiff(
+                  instance.subset(q),
+                  testing::DenseThresholdedSubset(corpus, corpus.subsets[q],
+                                                  archive.representation)),
+              "")
+        << album.name;
+    const ArchivePlan& plan = archiver.plan();
+    const auto row = std::find_if(
+        plan.subset_coverage.begin(), plan.subset_coverage.end(),
+        [&](const SubsetCoverage& c) { return c.name == album.name; });
+    if (row == plan.subset_coverage.end()) {
+      ADD_FAILURE() << "no coverage row for " << album.name;
+      continue;
+    }
+    EXPECT_EQ(row->coverage,
+              ObjectiveEvaluator(&instance, plan.retained).SubsetScore(q))
+        << album.name;
+  }
 }
 
 TEST(StreamingScenario, OutOfOrderMetadataYieldsByteIdenticalPlan) {

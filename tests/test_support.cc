@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/objective.h"
+#include "embedding/context.h"
 #include "util/logging.h"
 
 namespace phocus {
@@ -180,6 +182,53 @@ double EnumerateOptimum(const ParInstance& instance) {
     best = std::max(best, ObjectiveEvaluator::Evaluate(instance, selection));
   }
   return best;
+}
+
+Subset DenseThresholdedSubset(const Corpus& corpus, const SubsetSpec& spec,
+                              const RepresentationOptions& options) {
+  const std::size_t m = spec.members.size();
+  std::vector<Embedding> embeddings;
+  std::vector<ExifMetadata> exif;
+  std::vector<std::uint32_t> local_ids;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    embeddings.push_back(corpus.photos[spec.members[i]].embedding);
+    exif.push_back(corpus.photos[spec.members[i]].exif);
+    local_ids.push_back(i);
+  }
+  ContextSimilarityOptions sim_options;
+  sim_options.context_normalize = options.context_normalize;
+  sim_options.exif_weight = options.exif_weight;
+  const std::vector<float> dense =
+      SubsetSimilarityMatrix(embeddings, &exif, local_ids, sim_options);
+  const float tau = static_cast<float>(options.sparsify_tau);
+  std::vector<std::vector<std::pair<std::uint32_t, float>>> rows(m);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      const float s = dense[static_cast<std::size_t>(i) * m + j];
+      if (i != j && s >= tau && s > 0.0f) rows[i].emplace_back(j, s);
+    }
+  }
+  Subset subset;
+  subset.members = spec.members;
+  subset.sim_mode = Subset::SimMode::kSparse;
+  subset.SetSparseRows(rows);
+  return subset;
+}
+
+std::string SparseRowsDiff(const Subset& got, const Subset& want) {
+  if (got.sim_mode != Subset::SimMode::kSparse) return "not a sparse subset";
+  if (got.sparse_offsets != want.sparse_offsets) {
+    return "row offsets differ (nnz " +
+           std::to_string(got.sparse_indices.size()) + " vs " +
+           std::to_string(want.sparse_indices.size()) + ")";
+  }
+  if (got.sparse_indices != want.sparse_indices) return "neighbor ids differ";
+  if (got.sparse_values.size() != want.sparse_values.size() ||
+      std::memcmp(got.sparse_values.data(), want.sparse_values.data(),
+                  got.sparse_values.size() * sizeof(float)) != 0) {
+    return "similarity bits differ";
+  }
+  return "";
 }
 
 }  // namespace testing

@@ -1,9 +1,12 @@
 #ifndef PHOCUS_TESTS_TEST_SUPPORT_H_
 #define PHOCUS_TESTS_TEST_SUPPORT_H_
 
+#include <string>
 #include <vector>
 
 #include "core/instance.h"
+#include "datagen/corpus.h"
+#include "phocus/representation.h"
 #include "util/rng.h"
 
 /// \file test_support.h
@@ -47,6 +50,17 @@ ParInstance MakeRandomInstance(std::uint64_t seed,
 /// Exhaustive optimum by bitmask enumeration (only for tiny instances,
 /// n <= 20): independent cross-check for the branch-and-bound solver.
 double EnumerateOptimum(const ParInstance& instance);
+
+/// The τ-graph oracle for one sparsified subset: `spec`'s dense contextual
+/// matrix (SubsetSimilarityMatrix under `options`, the PHOcus-NS SIM)
+/// thresholded at options.sparsify_tau — off-diagonal entries s with
+/// s >= float(τ) and s > 0 — as ascending CSR rows.
+Subset DenseThresholdedSubset(const Corpus& corpus, const SubsetSpec& spec,
+                              const RepresentationOptions& options);
+
+/// Empty iff `got` holds exactly `want`'s CSR arrays, value bits included;
+/// otherwise what differs.
+std::string SparseRowsDiff(const Subset& got, const Subset& want);
 
 }  // namespace testing
 }  // namespace phocus
