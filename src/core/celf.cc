@@ -3,6 +3,8 @@
 #include <limits>
 #include <queue>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -53,21 +55,21 @@ SolverResult LazyGreedyFrom(const ParInstance& instance, GreedyRule rule,
   return result;
 }
 
-SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
-                                const CelfOptions& options,
-                                ObjectiveEvaluator& evaluator,
-                                std::vector<PhotoId> already_selected,
-                                const std::vector<double>* known_gains) {
-  auto& registry = telemetry::MetricsRegistry::Current();
-  telemetry::TraceSpan span("solver.celf.pass",
-                            &registry.GetHistogram("solver.celf.pass_ns"));
-  span.SetAttribute("rule", rule == GreedyRule::kUnitCost ? "UC" : "CB");
+namespace {
+
+/// One lazy-greedy pass with no telemetry: its work goes to `*counts`.
+/// With `seed`, the candidates are seed->photos, entering the heap with
+/// their known gains; without, every affordable unselected photo.
+SolverResult RunPass(const ParInstance& instance, GreedyRule rule,
+                     const CelfOptions& options, ObjectiveEvaluator& evaluator,
+                     std::vector<PhotoId> already_selected,
+                     const RefillSeed* seed, CelfPassCounts* counts) {
   // Constructing the evaluator built the membership index; parallel probes
   // below depend on it (see the eager-build contract in instance.h).
   PHOCUS_CHECK(instance.membership_index_built(),
                "membership index must be built before a CELF pass");
   // Lazy-evaluation accounting is kept in locals inside the hot loop and
-  // flushed to the registry once at the end — zero atomics per pop.
+  // handed to the caller once at the end — zero atomics per pop.
   std::uint64_t lazy_hits = 0;
   std::uint64_t lazy_misses = 0;
   const std::size_t evals_at_entry = evaluator.gain_evaluations();
@@ -87,46 +89,55 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
                ? gain
                : gain / static_cast<double>(instance.cost(p));
   };
-
-  std::vector<PhotoId> candidates;
-  candidates.reserve(instance.num_photos());
-  for (PhotoId p = 0; p < instance.num_photos(); ++p) {
-    if (evaluator.IsSelected(p)) continue;
-    if (instance.cost(p) > remaining) continue;  // can never fit later
-    candidates.push_back(p);
-  }
+  const auto affordable = [&](PhotoId p) {
+    // A photo that does not fit now can never fit later.
+    return !evaluator.IsSelected(p) && instance.cost(p) <= remaining;
+  };
 
   std::size_t epoch = evaluator.num_selected();
   std::priority_queue<PqEntry> queue;
-  // Which photos get probed must not depend on the machine: this gate looks
-  // only at options and the candidate count (never the thread count), so
-  // gain_evaluations is reproducible everywhere. ParallelFor itself runs
-  // inline on a single-core pool — identical results, different schedule.
-  if (known_gains == nullptr && options.parallel_first_round &&
-      candidates.size() >= 256) {
-    // Eager first round, fanned across the pool: GainOf is const, so
-    // concurrent probes against the seed state are safe. Entries enter the
-    // queue fresh (current epoch). Same probe count as the lazy seed — the
-    // +inf entries each get probed exactly once while draining anyway.
-    std::vector<double> gains(candidates.size());
-    ThreadPool::Global().ParallelFor(candidates.size(), [&](std::size_t i) {
-      gains[i] = evaluator.GainOf(candidates[i]);
-    });
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      queue.push({key_of(candidates[i], gains[i]), candidates[i], epoch});
-    }
-  } else {
+  if (seed != nullptr) {
     // Lazy seed: every candidate starts stale with key = +inf (line 3-4's
     // δ_p ← ∞), so each photo's gain is computed at most once per solution
     // change and only when it reaches the top. A known exact gain enters
     // fresh: it is the key that refresh would have computed.
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    for (PhotoId p : candidates) {
-      const double gain = known_gains != nullptr ? (*known_gains)[p] : kInf;
-      if (gain == kInf) {
+    for (std::size_t i = 0; i < seed->photos.size(); ++i) {
+      const PhotoId p = seed->photos[i];
+      if (!affordable(p)) continue;
+      if (seed->gains[i] == kInf) {
         queue.push({kInf, p, std::numeric_limits<std::size_t>::max()});
       } else {
-        queue.push({key_of(p, gain), p, epoch});
+        queue.push({key_of(p, seed->gains[i]), p, epoch});
+      }
+    }
+  } else {
+    std::vector<PhotoId> candidates;
+    candidates.reserve(instance.num_photos());
+    for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+      if (affordable(p)) candidates.push_back(p);
+    }
+    // Which photos get probed must not depend on the machine: this gate
+    // looks only at options and the candidate count (never the thread
+    // count), so gain_evaluations is reproducible everywhere. ParallelFor
+    // itself runs inline on a single-core pool — identical results,
+    // different schedule.
+    if (options.parallel_first_round && candidates.size() >= 256) {
+      // Eager first round, fanned across the pool: GainOf is const, so
+      // concurrent probes against the seed state are safe. Entries enter
+      // the queue fresh (current epoch). Same probe count as the lazy seed
+      // — the +inf entries each get probed exactly once while draining.
+      std::vector<double> gains(candidates.size());
+      ThreadPool::Global().ParallelFor(candidates.size(), [&](std::size_t i) {
+        gains[i] = evaluator.GainOf(candidates[i]);
+      });
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        queue.push({key_of(candidates[i], gains[i]), candidates[i], epoch});
+      }
+    } else {
+      for (PhotoId p : candidates) {
+        queue.push({std::numeric_limits<double>::infinity(), p,
+                    std::numeric_limits<std::size_t>::max()});
       }
     }
   }
@@ -189,20 +200,60 @@ SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
   result.score = evaluator.score();
   result.cost = evaluator.selected_cost();
   result.gain_evaluations = evaluator.gain_evaluations() - evals_at_entry;
-  result.seconds = span.ElapsedSeconds();
+  counts->lazy_hits += lazy_hits;
+  counts->lazy_misses += lazy_misses;
+  counts->gain_evals += result.gain_evaluations;
+  counts->selected += result.selected.size() - seed_size;
+  return result;
+}
 
+}  // namespace
+
+CelfPassCounts& CelfPassCounts::operator+=(const CelfPassCounts& other) {
+  lazy_hits += other.lazy_hits;
+  lazy_misses += other.lazy_misses;
+  gain_evals += other.gain_evals;
+  selected += other.selected;
+  return *this;
+}
+
+void CelfPassCounts::Flush() const {
+  auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("solver.celf.lazy_hits").Add(lazy_hits);
   registry.GetCounter("solver.celf.lazy_misses").Add(lazy_misses);
   registry.GetCounter("solver.celf.heap_repushes").Add(lazy_misses);
-  registry.GetCounter("solver.celf.gain_evals").Add(result.gain_evaluations);
-  registry.GetCounter("solver.celf.selected")
-      .Add(result.selected.size() - seed_size);
+  registry.GetCounter("solver.celf.gain_evals").Add(gain_evals);
+  registry.GetCounter("solver.celf.selected").Add(selected);
+}
+
+SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
+                                const CelfOptions& options,
+                                ObjectiveEvaluator& evaluator,
+                                std::vector<PhotoId> already_selected) {
+  auto& registry = telemetry::MetricsRegistry::Current();
+  telemetry::TraceSpan span("solver.celf.pass",
+                            &registry.GetHistogram("solver.celf.pass_ns"));
+  span.SetAttribute("rule", rule == GreedyRule::kUnitCost ? "UC" : "CB");
+  CelfPassCounts counts;
+  SolverResult result = RunPass(instance, rule, options, evaluator,
+                                std::move(already_selected), nullptr, &counts);
+  result.seconds = span.ElapsedSeconds();
+  counts.Flush();
   span.SetAttribute("selected",
                     static_cast<std::uint64_t>(result.selected.size()));
   span.SetAttribute("gain_evals",
                     static_cast<std::uint64_t>(result.gain_evaluations));
   span.SetAttribute("score", result.score);
   return result;
+}
+
+SolverResult LazyGreedyRefill(const ParInstance& instance, GreedyRule rule,
+                              const CelfOptions& options,
+                              ObjectiveEvaluator& evaluator,
+                              std::vector<PhotoId> already_selected,
+                              const RefillSeed& seed, CelfPassCounts* counts) {
+  return RunPass(instance, rule, options, evaluator,
+                 std::move(already_selected), &seed, counts);
 }
 
 SolverResult CelfSolver::Solve(const ParInstance& instance) {

@@ -1,6 +1,9 @@
 #ifndef PHOCUS_CORE_CELF_H_
 #define PHOCUS_CORE_CELF_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "core/objective.h"
 #include "core/solver.h"
 
@@ -66,20 +69,59 @@ SolverResult LazyGreedyFrom(const ParInstance& instance, GreedyRule rule,
                             const std::vector<PhotoId>& seed);
 
 /// Lazy-greedy completion that REUSES a caller-owned evaluator instead of
-/// constructing one (the local-search hot path). The evaluator's state must
-/// already reflect exactly `already_selected` (every photo Added, within
-/// budget); the result lists `already_selected` first, then picks, and its
-/// gain_evaluations field counts only probes performed during this call.
-///
-/// `known_gains`, if given, holds per photo either its exact GainOf under the
-/// evaluator's state or +inf. Known candidates enter the heap fresh; the rest
-/// take the lazy +inf seed (no eager first round). The lazy seed refreshes
-/// every candidate before the first pick, so the picks are the same as
-/// without `known_gains`; only the gain evaluations of the known ones go.
-SolverResult LazyGreedyComplete(
-    const ParInstance& instance, GreedyRule rule, const CelfOptions& options,
-    ObjectiveEvaluator& evaluator, std::vector<PhotoId> already_selected,
-    const std::vector<double>* known_gains = nullptr);
+/// constructing one. The evaluator's state must already reflect exactly
+/// `already_selected` (every photo Added, within budget); the result lists
+/// `already_selected` first, then picks, and its gain_evaluations field
+/// counts only probes performed during this call. Opens a
+/// `solver.celf.pass` span and flushes the pass's `solver.celf.*` counters.
+SolverResult LazyGreedyComplete(const ParInstance& instance, GreedyRule rule,
+                                const CelfOptions& options,
+                                ObjectiveEvaluator& evaluator,
+                                std::vector<PhotoId> already_selected);
+
+/// A refill's candidates: photos not selected in the evaluator, each with
+/// its exact GainOf under the evaluator's state or +inf (unknown), aligned.
+struct RefillSeed {
+  std::vector<PhotoId> photos;
+  std::vector<double> gains;
+
+  void clear() {
+    photos.clear();
+    gains.clear();
+  }
+  void push_back(PhotoId p, double gain) {
+    photos.push_back(p);
+    gains.push_back(gain);
+  }
+};
+
+/// The work of lazy-greedy passes, as LazyGreedyComplete flushes it to the
+/// `solver.celf.*` counters.
+struct CelfPassCounts {
+  std::uint64_t lazy_hits = 0;
+  std::uint64_t lazy_misses = 0;
+  std::uint64_t gain_evals = 0;
+  std::uint64_t selected = 0;
+
+  CelfPassCounts& operator+=(const CelfPassCounts& other);
+  /// Adds the counts to the current registry's `solver.celf.*` counters
+  /// (`heap_repushes` is the lazy misses).
+  void Flush() const;
+};
+
+/// LazyGreedyComplete over `seed`'s candidates only (the others are
+/// treated as unaffordable), with no span and no registry access: the pass's
+/// work is added to `*counts` for the caller to flush. The local-search
+/// probes run thousands of these on pool threads. Known candidates enter the
+/// heap fresh; the rest take the lazy +inf seed (no eager first round). The
+/// lazy seed refreshes every candidate before the first pick, so the picks
+/// are the same as with every gain unknown; only the gain evaluations of the
+/// known ones go.
+SolverResult LazyGreedyRefill(const ParInstance& instance, GreedyRule rule,
+                              const CelfOptions& options,
+                              ObjectiveEvaluator& evaluator,
+                              std::vector<PhotoId> already_selected,
+                              const RefillSeed& seed, CelfPassCounts* counts);
 
 /// Algorithm 1: best of LazyGreedy(UC) and LazyGreedy(CB).
 class CelfSolver : public Solver {

@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.h"
@@ -33,6 +34,33 @@ void Subset::SetSparseRows(
     }
     sparse_offsets.push_back(static_cast<std::uint32_t>(sparse_indices.size()));
   }
+  sparse_mirrored = SparseRowsMirrored();
+}
+
+bool Subset::SparseRowsMirrored() const {
+  // Rows are ascending, so visiting the rows in order meets the mirrors in
+  // each row j in ascending order too: one cursor per row checks them all.
+  const std::size_t m = members.size();
+  if (sparse_offsets.size() != m + 1) return false;
+  std::vector<std::uint32_t> cursor(sparse_offsets.begin(),
+                                    sparse_offsets.end() - 1);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const SparseSimRow row = sparse_row(i);
+    for (std::uint32_t k = 0; k < row.size; ++k) {
+      const std::uint32_t j = row.indices[k];
+      if (j >= m || cursor[j] == sparse_offsets[j + 1]) return false;
+      const std::uint32_t at = cursor[j]++;
+      if (sparse_indices[at] != i ||
+          std::bit_cast<std::uint32_t>(sparse_values[at]) !=
+              std::bit_cast<std::uint32_t>(row.values[k])) {
+        return false;
+      }
+    }
+  }
+  for (std::uint32_t j = 0; j < m; ++j) {
+    if (cursor[j] != sparse_offsets[j + 1]) return false;
+  }
+  return true;
 }
 
 double Subset::Similarity(std::uint32_t local_a, std::uint32_t local_b) const {

@@ -61,14 +61,26 @@ struct Subset {
   std::vector<std::uint32_t> sparse_offsets;
   std::vector<std::uint32_t> sparse_indices;
   std::vector<float> sparse_values;
+  /// kSparse: true when the CSR is mirrored bit for bit, entry (i, j)
+  /// stored exactly when (j, i) is, with the same value. Then the members
+  /// whose rows hold j are j's own neighbors, and a removal re-covers j from
+  /// j's own row. Set where the CSR is written (BuildInstance's sweep,
+  /// SetSparseRows after checking its rows); false takes the general path.
+  bool sparse_mirrored = false;
 
   std::size_t size() const { return members.size(); }
 
   /// Converts per-row neighbor lists into the CSR arrays, sorting each row
-  /// by index (rows may have been filled in any order). `rows` must have one
-  /// entry per member.
+  /// by index (rows may have been filled in any order), and sets
+  /// `sparse_mirrored` from SparseRowsMirrored(). `rows` must have one entry
+  /// per member.
   void SetSparseRows(
       const std::vector<std::vector<std::pair<std::uint32_t, float>>>& rows);
+
+  /// Whether the CSR arrays are mirrored bit for bit (see
+  /// `sparse_mirrored`): one O(entries) pass, for the writers that set the
+  /// flag outside the plan path.
+  bool SparseRowsMirrored() const;
 
   /// CSR row view for local member index `i`. Requires kSparse with a
   /// finalized layout (`sparse_offsets.size() == size() + 1`).

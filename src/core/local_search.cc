@@ -10,6 +10,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace phocus {
@@ -36,32 +37,87 @@ struct VictimProbe {
 
 /// A batch lane's scratch, reused across probes.
 struct Lane {
+  Lane(const ObjectiveEvaluator& start, std::size_t num_photos)
+      : evaluator(start), touched(num_photos, 0) {}
+
   ObjectiveEvaluator evaluator;
   std::vector<Membership> lowered;
-  std::vector<double> known_gains;
+  /// Per photo: whether the probe's Remove lowered a slot its gain scan
+  /// reads. Only the photos in `touched_list` are set between probes.
+  std::vector<char> touched;
+  std::vector<PhotoId> touched_list;
+  RefillSeed seed;
+  /// Every refill this lane ran, discarded probes included.
+  CelfPassCounts counts;
+  std::uint64_t refills = 0;
+  std::uint64_t refill_ns = 0;
 };
 
-/// Whether every sparse entry (i, j) of `subset` has its mirror (j, i).
-/// Rows are ascending, so visiting rows in order meets the mirrors in each
-/// row j in ascending order too: one cursor per row checks them all.
-bool SparseStructureSymmetric(const Subset& subset) {
-  const std::vector<std::uint32_t>& offsets = subset.sparse_offsets;
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::uint32_t i = 0; i < subset.size(); ++i) {
-    const SparseSimRow row = subset.sparse_row(i);
-    for (std::uint32_t k = 0; k < row.size; ++k) {
-      const std::uint32_t j = row.indices[k];
-      if (cursor[j] == offsets[j + 1] ||
-          subset.sparse_indices[cursor[j]] != i) {
-        return false;
+/// Calls `mark` on every photo whose gain scan reads one of `slots` (grouped
+/// by subset), maybe more than once. A candidate's gain scan reads its own
+/// slot and its row's slots: in a mirrored sparse subset the rows holding j
+/// are j's own neighbors; otherwise every member counts as a reader.
+template <typename Mark>
+void ForEachReader(const ParInstance& instance,
+                   const std::vector<Membership>& slots, Mark&& mark) {
+  SubsetId whole = static_cast<SubsetId>(instance.num_subsets());
+  for (const Membership& slot : slots) {
+    const Subset& subset = instance.subset(slot.subset);
+    if (subset.sim_mode == Subset::SimMode::kSparse &&
+        subset.sparse_mirrored) {
+      mark(subset.members[slot.local_index]);
+      const SparseSimRow row = subset.sparse_row(slot.local_index);
+      for (std::uint32_t k = 0; k < row.size; ++k) {
+        mark(subset.members[row.indices[k]]);
       }
-      ++cursor[j];
+    } else if (slot.subset != whole) {
+      for (PhotoId member : subset.members) mark(member);
+      whole = slot.subset;
     }
   }
-  for (std::uint32_t j = 0; j < subset.size(); ++j) {
-    if (cursor[j] != offsets[j + 1]) return false;
+}
+
+/// Calls `mark` on every photo whose GainOf can differ between `before`
+/// and `after`, two evaluators that differ only in the best-sims of
+/// `subsets` (and in the selection of photos the caller handles), maybe
+/// more than once. A reader's term for slot j is rel·(sim − best[j]) where
+/// positive and +0.0 otherwise, and the kernels add +0.0 without changing
+/// a sum; so a reader whose sim is at most both values of a changed slot
+/// keeps its gain bit for bit. Slot j's own member reads it with sim 1.
+template <typename Mark>
+void ForEachChangedReader(const ParInstance& instance,
+                          const ObjectiveEvaluator& before,
+                          const ObjectiveEvaluator& after,
+                          const std::vector<SubsetId>& subsets, Mark&& mark) {
+  for (SubsetId q : subsets) {
+    const Subset& subset = instance.subset(q);
+    const std::uint32_t m = static_cast<std::uint32_t>(subset.size());
+    const float* old_best = before.BestSims(q);
+    const float* new_best = after.BestSims(q);
+    for (std::uint32_t j = 0; j < m; ++j) {
+      if (old_best[j] == new_best[j]) continue;
+      const float floor = std::min(old_best[j], new_best[j]);
+      mark(subset.members[j]);
+      if (subset.sim_mode == Subset::SimMode::kDense) {
+        for (std::uint32_t i = 0; i < m; ++i) {
+          if (subset.dense_sim[static_cast<std::size_t>(i) * m + j] > floor) {
+            mark(subset.members[i]);
+          }
+        }
+      } else if (subset.sim_mode == Subset::SimMode::kSparse &&
+                 subset.sparse_mirrored) {
+        const SparseSimRow row = subset.sparse_row(j);
+        for (std::uint32_t k = 0; k < row.size; ++k) {
+          if (row.values[k] > floor) mark(subset.members[row.indices[k]]);
+        }
+      } else {
+        // Uniform rows read every slot with sim 1; an unmirrored CSR does
+        // not say which rows hold j.
+        for (PhotoId member : subset.members) mark(member);
+        break;
+      }
+    }
   }
-  return true;
 }
 
 }  // namespace
@@ -90,35 +146,29 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
   probe_options.batch_stale_requeues = false;
   probe_options.concurrent_passes = false;
 
+  const std::size_t n = instance.num_photos();
   const std::size_t batch_width = std::max<std::size_t>(1, options.probe_batch);
   // One scratch lane per batch slot; its evaluator is overwritten with
   // `current` per probe — copy-assignment reuses the lane's arena.
-  std::vector<Lane> lanes(batch_width, Lane{current, {}, {}});
+  std::vector<Lane> lanes;
+  lanes.reserve(batch_width);
+  for (std::size_t k = 0; k < batch_width; ++k) lanes.emplace_back(current, n);
 
-  // `current`'s gain for every photo a refill could afford (+inf for the
-  // rest and the selected), computed once per accepted state, when a probe
-  // first needs it. A probe's lane differs from `current` only in the
-  // best-sims its Remove lowered, so every candidate whose gain scan reads
-  // none of them has this exact gain in the lane too: it enters the refill
-  // heap fresh, and only the others (the victim included, which is +inf
-  // here) are re-evaluated. The lazy +inf seed would have refreshed every
-  // candidate before the first pick anyway, so the heap, and with it every
-  // pick, is the same; only the evaluation count falls.
-  const std::size_t n = instance.num_photos();
-  std::vector<double> current_gains;
-  bool gains_current = false;
+  // `current`'s gain table: gains[p] is p's exact GainOf under `current`, or
+  // kUnknown (always for the selected). `affordable` lists, ascending, the
+  // unselected photos a refill could afford; the table is brought current
+  // for them when a probe first needs it after a change. A probe's lane
+  // differs from `current` only in the best-sims its Remove lowered, so
+  // every candidate whose gain scan reads none of them has this exact gain
+  // in the lane too: it enters the refill heap fresh, and only the others
+  // (the victim included) are re-evaluated. The lazy +inf seed would have
+  // refreshed every candidate before the first pick anyway, so the heap,
+  // and with it every pick, is the same; only the evaluation count falls.
+  std::vector<double> gains(n, kUnknown);
+  std::vector<PhotoId> affordable;
   std::vector<PhotoId> to_score;
-  std::vector<char> symmetric;  // per subset, filled with the first table
-  const auto score_current = [&] {
-    if (symmetric.empty()) {
-      symmetric.assign(instance.num_subsets(), 0);
-      ThreadPool::Global().ParallelFor(instance.num_subsets(),
-                                       [&](std::size_t q) {
-        const Subset& subset = instance.subset(static_cast<SubsetId>(q));
-        symmetric[q] = subset.sim_mode == Subset::SimMode::kSparse &&
-                       SparseStructureSymmetric(subset);
-      });
-    }
+  bool gains_current = false;
+  const auto refresh_table = [&] {
     Cost max_victim_cost = 0;
     for (PhotoId p : solution.selected) {
       if (!instance.IsRequired(p)) {
@@ -127,24 +177,27 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
     }
     const Cost reach =
         instance.budget() - current.selected_cost() + max_victim_cost;
+    affordable.clear();
     to_score.clear();
     for (PhotoId p = 0; p < n; ++p) {
-      if (!current.IsSelected(p) && instance.cost(p) <= reach) {
-        to_score.push_back(p);
-      }
+      if (current.IsSelected(p) || instance.cost(p) > reach) continue;
+      affordable.push_back(p);
+      if (gains[p] == kUnknown) to_score.push_back(p);
     }
-    current_gains.assign(n, kUnknown);
     const std::size_t evals_before = current.gain_evaluations();
     ThreadPool::Global().ParallelFor(to_score.size(), [&](std::size_t i) {
-      current_gains[to_score[i]] = current.GainOf(to_score[i]);
+      gains[to_score[i]] = current.GainOf(to_score[i]);
     });
-    stats.gain_evaluations += current.gain_evaluations() - evals_before;
+    const std::size_t evals = current.gain_evaluations() - evals_before;
+    stats.gain_evaluations += evals;
+    stats.table_evaluations += evals;
     gains_current = true;
   };
 
   // Membership bitmask for O(1) "is the victim still selected" checks
   // (previously a std::find over the selection — quadratic per sweep).
   std::vector<char> in_selection(n, 0);
+  std::vector<SubsetId> moved_subsets;
 
   for (int pass = 0; pass < options.max_passes; ++pass) {
     ++stats.passes;
@@ -170,7 +223,7 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
         probes.push_back(std::move(probe));
       }
       if (probes.empty()) break;
-      if (!gains_current) score_current();
+      if (!gains_current) refresh_table();
 
       // Probe every victim against the same frozen selection. Each lane
       // copies `current` and removes its victim, so the probes are
@@ -183,43 +236,39 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
         const std::size_t evals_before = evaluator.gain_evaluations();
         lane.lowered.clear();
         evaluator.Remove(probe.victim, &lane.lowered);
-        // A candidate's gain scan reads its own slot and its row's slots in
-        // every subset it belongs to; dense and uniform rows read them all.
-        std::vector<double>& known = lane.known_gains;
-        known = current_gains;
-        SubsetId whole = static_cast<SubsetId>(instance.num_subsets());
-        for (const Membership& slot : lane.lowered) {
-          const Subset& subset = instance.subset(slot.subset);
-          if (symmetric[slot.subset]) {
-            // Symmetric rows: the rows holding j are j's own neighbors.
-            known[subset.members[slot.local_index]] = kUnknown;
-            const SparseSimRow row = subset.sparse_row(slot.local_index);
-            for (std::uint32_t k2 = 0; k2 < row.size; ++k2) {
-              known[subset.members[row.indices[k2]]] = kUnknown;
-            }
-          } else if (slot.subset != whole) {
-            for (PhotoId member : subset.members) {
-              known[member] = kUnknown;
-            }
-            whole = slot.subset;
-          }
-        }
+        ForEachReader(instance, lane.lowered, [&](PhotoId p) {
+          if (lane.touched[p]) return;
+          lane.touched[p] = 1;
+          lane.touched_list.push_back(p);
+        });
+        // The refill's candidates: the table's affordable photos that fit
+        // the freed budget, then the victim (it fits: it was paid for).
         const Cost remaining = instance.budget() - evaluator.selected_cost();
-        for (PhotoId p = 0; p < n; ++p) {
-          if (evaluator.IsSelected(p) || instance.cost(p) > remaining) continue;
-          if (known[p] == kUnknown) {
+        lane.seed.clear();
+        for (PhotoId p : affordable) {
+          if (instance.cost(p) > remaining) continue;
+          if (lane.touched[p]) {
             ++probe.keys_refreshed;
+            lane.seed.push_back(p, kUnknown);
           } else {
             ++probe.keys_reused;
+            lane.seed.push_back(p, gains[p]);
           }
         }
+        ++probe.keys_refreshed;
+        lane.seed.push_back(probe.victim, kUnknown);
+        for (PhotoId p : lane.touched_list) lane.touched[p] = 0;
+        lane.touched_list.clear();
         std::vector<PhotoId> base = solution.selected;
         base.erase(std::find(base.begin(), base.end(), probe.victim));
         // Greedy refill of the freed budget (may re-add the victim, in
         // which case the move cannot strictly improve and is rejected).
-        probe.refilled = LazyGreedyComplete(instance, GreedyRule::kCostBenefit,
-                                            probe_options, evaluator,
-                                            std::move(base), &known);
+        const Stopwatch refill_timer;
+        probe.refilled = LazyGreedyRefill(
+            instance, GreedyRule::kCostBenefit, probe_options, evaluator,
+            std::move(base), lane.seed, &lane.counts);
+        lane.refill_ns += refill_timer.ElapsedNanos();
+        ++lane.refills;
         probe.gain_evaluations = evaluator.gain_evaluations() - evals_before;
       });
 
@@ -241,11 +290,37 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
       }
       if (accepted_at < probes.size()) {
         const VictimProbe& winner = probes[accepted_at];
+        ObjectiveEvaluator& next = lanes[accepted_at].evaluator;
+        // The winner's picks follow the kept selection in its result.
+        const auto picks_begin =
+            winner.refilled.selected.begin() +
+            static_cast<std::ptrdiff_t>(solution.selected.size() - 1);
+        // Only subsets holding the victim or a pick can have changed
+        // best-sims; every photo whose gain they cannot change keeps its
+        // table gain bit for bit.
+        moved_subsets.clear();
+        for (const Membership& m : instance.memberships(winner.victim)) {
+          moved_subsets.push_back(m.subset);
+        }
+        for (auto it = picks_begin; it != winner.refilled.selected.end();
+             ++it) {
+          gains[*it] = kUnknown;
+          for (const Membership& m : instance.memberships(*it)) {
+            moved_subsets.push_back(m.subset);
+          }
+        }
+        std::sort(moved_subsets.begin(), moved_subsets.end());
+        moved_subsets.erase(
+            std::unique(moved_subsets.begin(), moved_subsets.end()),
+            moved_subsets.end());
+        ForEachChangedReader(instance, current, next, moved_subsets,
+                             [&](PhotoId p) { gains[p] = kUnknown; });
+        // Adopt the winning lane: `Remove` leaves its best-sims equal to a
+        // fresh evaluator's, and `Add` only raises maxima, so they are the
+        // new selection's bit for bit. (The victim's entry is already
+        // kUnknown: it was selected.)
+        std::swap(current, next);
         solution.selected = winner.refilled.selected;
-        // Re-Add the new selection in order: `current` then matches a fresh
-        // evaluation of it, score bits included.
-        current = ObjectiveEvaluator(&instance, solution.selected);
-        stats.gain_evaluations += current.gain_evaluations();
         gains_current = false;
         ++stats.moves_accepted;
         any_accepted = true;
@@ -257,15 +332,34 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
     if (!any_accepted) break;
   }
 
-  solution.score = current.score();
+  stats.final_score = current.score();
+  if (stats.moves_accepted > 0) {
+    // The adopted score summed each move's loss and gains; re-Adding the
+    // final selection once gives it the bits of a fresh evaluation.
+    const ObjectiveEvaluator fresh(&instance, solution.selected);
+    stats.readd_evaluations = fresh.gain_evaluations();
+    stats.gain_evaluations += stats.readd_evaluations;
+    stats.final_score = fresh.score();
+  }
+  solution.score = stats.final_score;
   solution.cost = 0;
   for (PhotoId p : solution.selected) solution.cost += instance.cost(p);
   // The refill probes evaluated gains on the solution's behalf; without this
   // the wrapped result under-reports its oracle complexity (audit: the
   // wrapper previously dropped them entirely).
   solution.gain_evaluations += stats.gain_evaluations;
-  stats.final_score = current.score();
 
+  // The refills ran without telemetry of their own (on pool threads their
+  // spans would be orphan roots); their counts are flushed once here.
+  CelfPassCounts refill_counts;
+  std::uint64_t refills = 0;
+  std::uint64_t refill_ns = 0;
+  for (const Lane& lane : lanes) {
+    refill_counts += lane.counts;
+    refills += lane.refills;
+    refill_ns += lane.refill_ns;
+  }
+  refill_counts.Flush();
   auto& registry = telemetry::MetricsRegistry::Current();
   registry.GetCounter("solver.local_search.moves_tried")
       .Add(static_cast<std::uint64_t>(stats.moves_tried));
@@ -281,6 +375,8 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
                     static_cast<std::uint64_t>(stats.moves_tried));
   span.SetAttribute("moves_accepted",
                     static_cast<std::uint64_t>(stats.moves_accepted));
+  span.SetAttribute("refills", refills);
+  span.SetAttribute("refill_ns", refill_ns);
   span.SetAttribute("score_delta", stats.final_score - stats.initial_score);
   return stats;
 }

@@ -14,7 +14,9 @@
 /// than the input, terminates (G strictly increases per accepted move and
 /// is bounded), and typically closes part of whatever gap greedy left.
 /// A refill seeds its heap with the current selection's gains wherever the
-/// eviction cannot have changed them (same picks, fewer evaluations).
+/// eviction cannot have changed them (same picks, fewer evaluations), and
+/// an accepted move adopts the winning probe's state, so its cost follows
+/// the best-sims it changed.
 
 namespace phocus {
 
@@ -46,6 +48,14 @@ struct LocalSearchStats {
   /// removal lowered), and those seeded +inf and re-evaluated.
   std::size_t keys_reused = 0;
   std::size_t keys_refreshed = 0;
+  /// The accept path's oracle calls, both also in `gain_evaluations`. An
+  /// accepted move adopts the winning probe's evaluator; the GainOf calls
+  /// that bring `current`'s gain table up to date follow (every affordable
+  /// photo the first time, then only those whose gain a move can have
+  /// changed), and once the pass ends, the Adds of one re-evaluation of the
+  /// final selection (none when no move was accepted).
+  std::size_t table_evaluations = 0;
+  std::size_t readd_evaluations = 0;
   double initial_score = 0.0;
   double final_score = 0.0;
 };

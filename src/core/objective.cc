@@ -46,6 +46,29 @@ ObjectiveEvaluator& ObjectiveEvaluator::operator=(
   return *this;
 }
 
+ObjectiveEvaluator::ObjectiveEvaluator(ObjectiveEvaluator&& other) noexcept
+    : instance_(other.instance_),
+      best_sim_(std::move(other.best_sim_)),
+      selected_(std::move(other.selected_)),
+      num_selected_(other.num_selected_),
+      selected_cost_(other.selected_cost_),
+      score_(other.score_),
+      gain_evaluations_(other.gain_evaluations()) {}
+
+ObjectiveEvaluator& ObjectiveEvaluator::operator=(
+    ObjectiveEvaluator&& other) noexcept {
+  if (this == &other) return *this;
+  instance_ = other.instance_;
+  best_sim_ = std::move(other.best_sim_);
+  selected_ = std::move(other.selected_);
+  num_selected_ = other.num_selected_;
+  selected_cost_ = other.selected_cost_;
+  score_ = other.score_;
+  gain_evaluations_.store(other.gain_evaluations(),
+                          std::memory_order_relaxed);
+  return *this;
+}
+
 namespace {
 
 /// The member at local_p always counts with similarity 1 (the diagonal of
@@ -181,6 +204,45 @@ void ObjectiveEvaluator::LoweredWithout(
   const Subset& subset = instance_->subset(q);
   const float* best = best_sim_.data() + instance_->member_offset(q);
   const std::uint32_t m = static_cast<std::uint32_t>(subset.size());
+  // best[j] is the max of the selected members' contributions, so it can
+  // only drop where p's own contribution attains it: `recover` gets each
+  // such j and records its new value, the max over the other selected
+  // members (floored at 0, as a fresh cover starts).
+  const auto for_each_attained = [&](auto&& recover) {
+    if (best[local_p] == 1.0f) recover(local_p);
+    if (subset.sim_mode == Subset::SimMode::kDense) {
+      const float* row =
+          &subset.dense_sim[static_cast<std::size_t>(local_p) * m];
+      for (std::uint32_t j = 0; j < m; ++j) {
+        if (j != local_p && row[j] > 0.0f && row[j] == best[j]) recover(j);
+      }
+    } else {
+      const SparseSimRow row = subset.sparse_row(local_p);
+      for (std::uint32_t k = 0; k < row.size; ++k) {
+        const std::uint32_t j = row.indices[k];
+        if (row.values[k] > 0.0f && row.values[k] == best[j]) recover(j);
+      }
+    }
+  };
+  if (subset.sim_mode == Subset::SimMode::kSparse && subset.sparse_mirrored) {
+    // Member i's contribution to j is row_i[j], which a mirrored CSR also
+    // stores as row_j[i] with the same bits: j's own row lists every
+    // contribution, so no other member's row is searched.
+    for_each_attained([&](std::uint32_t j) {
+      // A selected j covers itself with 1, which attains any best-sim.
+      if (j != local_p && selected_[subset.members[j]]) return;
+      float value = 0.0f;
+      const SparseSimRow row = subset.sparse_row(j);
+      for (std::uint32_t k = 0; k < row.size; ++k) {
+        const std::uint32_t i = row.indices[k];
+        if (i == local_p || !selected_[subset.members[i]]) continue;
+        if (row.values[k] > value) value = row.values[k];
+        if (value == best[j]) return;  // another member attains it too
+      }
+      lowered->push_back({j, value});
+    });
+    return;
+  }
   std::vector<std::uint32_t> others;
   for (std::uint32_t i = 0; i < m; ++i) {
     if (i != local_p && selected_[subset.members[i]]) others.push_back(i);
@@ -191,10 +253,7 @@ void ObjectiveEvaluator::LoweredWithout(
     for (std::uint32_t j = 0; j < m; ++j) lowered->push_back({j, 0.0f});
     return;
   }
-  // best[j] is the max of the selected members' contributions, so it can
-  // only drop where p's own contribution attains it. The new value is the
-  // max over the others (floored at 0, as a fresh cover starts).
-  const auto recover = [&](std::uint32_t j) {
+  for_each_attained([&](std::uint32_t j) {
     float value = 0.0f;
     for (std::uint32_t i : others) {
       const float c = Contribution(subset, i, j);
@@ -202,20 +261,7 @@ void ObjectiveEvaluator::LoweredWithout(
       if (value == best[j]) return;  // another member attains it too
     }
     lowered->push_back({j, value});
-  };
-  if (best[local_p] == 1.0f) recover(local_p);
-  if (subset.sim_mode == Subset::SimMode::kDense) {
-    const float* row = &subset.dense_sim[static_cast<std::size_t>(local_p) * m];
-    for (std::uint32_t j = 0; j < m; ++j) {
-      if (j != local_p && row[j] > 0.0f && row[j] == best[j]) recover(j);
-    }
-  } else {
-    const SparseSimRow row = subset.sparse_row(local_p);
-    for (std::uint32_t k = 0; k < row.size; ++k) {
-      const std::uint32_t j = row.indices[k];
-      if (row.values[k] > 0.0f && row.values[k] == best[j]) recover(j);
-    }
-  }
+  });
 }
 
 double ObjectiveEvaluator::RemovalLoss(PhotoId p) const {

@@ -41,6 +41,9 @@ class ObjectiveEvaluator {
   /// evaluation counter is copied by value.
   ObjectiveEvaluator(const ObjectiveEvaluator& other);
   ObjectiveEvaluator& operator=(const ObjectiveEvaluator& other);
+  /// Moves take the arena (local search adopts a probe lane's evaluator).
+  ObjectiveEvaluator(ObjectiveEvaluator&& other) noexcept;
+  ObjectiveEvaluator& operator=(ObjectiveEvaluator&& other) noexcept;
 
   /// Marginal gain G(S ∪ {p}) − G(S) without modifying state.
   double GainOf(PhotoId p) const;
@@ -59,6 +62,11 @@ class ObjectiveEvaluator {
   /// best-sim dropped: only a photo whose gain scan reads one of them can
   /// have a different GainOf than before the removal.
   double Remove(PhotoId p, std::vector<Membership>* lowered = nullptr);
+
+  /// Subset q's best-sim slice (|q| floats, local member order).
+  const float* BestSims(SubsetId q) const {
+    return best_sim_.data() + instance_->member_offset(q);
+  }
 
   /// Current G(S).
   double score() const { return score_; }

@@ -66,6 +66,11 @@ ParInstance SparsifyInstance(const ParInstance& instance, double tau,
             static_cast<std::uint32_t>(sparse.sparse_indices.size()));
       }
     }
+    // Re-thresholding keeps or drops a mirrored pair's two equal entries
+    // together; a dense source has no flag, so its output is checked.
+    sparse.sparse_mirrored = q.sim_mode == Subset::SimMode::kSparse
+                                 ? q.sparse_mirrored
+                                 : sparse.SparseRowsMirrored();
     out.AddSubset(std::move(sparse));
   }
   if (stats != nullptr) {

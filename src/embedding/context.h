@@ -43,7 +43,9 @@ std::vector<float> SubsetSimilarityMatrix(
     const ContextSimilarityOptions& options = {});
 
 /// One subset's τ-sparsified SIM in CSR form: row i lists, in ascending
-/// order, the members j ≠ i whose similarity to i is at least τ.
+/// order, the members j ≠ i whose similarity to i is at least τ. Each pair
+/// has one value, written into both of its rows, so the CSR is mirrored bit
+/// for bit (Subset::sparse_mirrored).
 struct SparseSimilarity {
   std::vector<std::uint32_t> offsets;  ///< m + 1 row starts
   std::vector<std::uint32_t> indices;

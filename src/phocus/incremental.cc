@@ -315,6 +315,12 @@ void IncrementalArchiver::Replan(IncrementalUpdateStats& stats) {
                          static_cast<std::uint64_t>(rebalanced.keys_reused));
   rebalance.SetAttribute("keys_refreshed",
                          static_cast<std::uint64_t>(rebalanced.keys_refreshed));
+  rebalance.SetAttribute("accepted",
+                         static_cast<std::uint64_t>(rebalanced.moves_accepted));
+  rebalance.SetAttribute(
+      "table_evals", static_cast<std::uint64_t>(rebalanced.table_evaluations));
+  rebalance.SetAttribute(
+      "readd_evals", static_cast<std::uint64_t>(rebalanced.readd_evaluations));
   rebalance.Close();
   result.solver_name = "PHOcus-incremental";
   stats.gain_evaluations += result.gain_evaluations;

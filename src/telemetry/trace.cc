@@ -67,15 +67,19 @@ void TraceSpan::SetAttribute(const std::string& key, std::string value) {
   record_->attributes.emplace_back(key, std::move(value));
 }
 
+// The overloads below format only for an active span.
 void TraceSpan::SetAttribute(const std::string& key, const char* value) {
+  if (record_ == nullptr) return;
   SetAttribute(key, std::string(value));
 }
 
 void TraceSpan::SetAttribute(const std::string& key, double value) {
+  if (record_ == nullptr) return;
   SetAttribute(key, StrFormat("%g", value));
 }
 
 void TraceSpan::SetAttribute(const std::string& key, std::uint64_t value) {
+  if (record_ == nullptr) return;
   SetAttribute(key, StrFormat("%llu", static_cast<unsigned long long>(value)));
 }
 

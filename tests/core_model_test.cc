@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/instance.h"
 #include "core/objective.h"
@@ -435,6 +436,51 @@ TEST_P(ObjectivePropertyTest, RemoveChainMatchesFreshEvaluator) {
     rng.Shuffle(order);
     order.resize(1 + rng.NextBelow(order.size()));
     ExpectRemoveChainMatchesFresh(instance, order);
+  }
+}
+
+TEST_P(ObjectivePropertyTest, MirroredRemoveMatchesTheGeneralPath) {
+  // A mirrored subset re-covers a member from its own row; with the flag
+  // cleared, the same CSR takes the general path through the other selected
+  // members' rows. Both must lower the same slots to the same bits.
+  RandomInstanceOptions options;
+  options.num_photos = 16;
+  options.num_subsets = 8;
+  options.max_subset_size = 8;
+  options.sim_sparsity = 0.3;
+  options.sim_levels = 4;  // many members tie for their best neighbor
+  options.sim_mode = Subset::SimMode::kSparse;
+  const ParInstance mirrored = MakeRandomInstance(GetParam(), options);
+  ParInstance general = mirrored;
+  for (SubsetId q = 0; q < mirrored.num_subsets(); ++q) {
+    ASSERT_TRUE(mirrored.subset(q).sparse_mirrored) << "subset " << q;
+    general.mutable_subset(q).sparse_mirrored = false;
+  }
+  Rng rng(GetParam() ^ 0x31e202ULL);
+  std::vector<PhotoId> order(mirrored.num_photos());
+  for (PhotoId p = 0; p < mirrored.num_photos(); ++p) order[p] = p;
+  rng.Shuffle(order);
+  ObjectiveEvaluator fast(&mirrored, order);
+  ObjectiveEvaluator slow(&general, order);
+  for (PhotoId victim : order) {
+    SCOPED_TRACE(::testing::Message() << "victim " << victim);
+    EXPECT_EQ(fast.RemovalLoss(victim), slow.RemovalLoss(victim));
+    std::vector<Membership> fast_lowered;
+    std::vector<Membership> slow_lowered;
+    EXPECT_EQ(fast.Remove(victim, &fast_lowered),
+              slow.Remove(victim, &slow_lowered));
+    ASSERT_EQ(fast_lowered.size(), slow_lowered.size());
+    for (std::size_t k = 0; k < fast_lowered.size(); ++k) {
+      EXPECT_EQ(fast_lowered[k].subset, slow_lowered[k].subset);
+      EXPECT_EQ(fast_lowered[k].local_index, slow_lowered[k].local_index);
+    }
+    for (SubsetId q = 0; q < mirrored.num_subsets(); ++q) {
+      EXPECT_EQ(std::memcmp(fast.BestSims(q), slow.BestSims(q),
+                            mirrored.subset(q).size() * sizeof(float)),
+                0)
+          << "subset " << q << "'s best-sims differ";
+    }
+    EXPECT_EQ(fast.score(), slow.score());
   }
 }
 

@@ -445,6 +445,10 @@ TEST_F(ObservabilityTest, SlowSetBudgetShrinkRecordsReplanStages) {
     EXPECT_GT(count(rebalance, "probes"), 0);
     EXPECT_GT(count(rebalance, "keys_reused"), 0);
     EXPECT_GT(count(rebalance, "keys_refreshed"), 0);
+    EXPECT_GT(count(rebalance, "table_evals"), 0);
+    // One re-Add of the final selection, only after an accepted move.
+    EXPECT_EQ(count(rebalance, "readd_evals") > 0,
+              count(rebalance, "accepted") > 0);
   }
   EXPECT_TRUE(found);
 }

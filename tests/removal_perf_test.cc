@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/celf.h"
+#include "core/local_search.h"
 #include "datagen/openimages.h"
 #include "phocus/incremental.h"
 #include "phocus/representation.h"
@@ -39,6 +43,58 @@ TEST(RemovalWorkTest, EvictionScoresEachPhotoOnceThenRefreshesNearTheMinimum) {
   ASSERT_GE(victims, 10u);
   EXPECT_LE(stats.removal_loss_evals, evictable + 2 * victims)
       << evictable << " evictable photos, " << victims << " victims";
+}
+
+TEST(RemovalWorkTest, RebalanceAdoptsLanesAndPatchesTheGainTable) {
+  // The same replan's rebalance pass: an accepted move adopts the winning
+  // probe's evaluator, and `current`'s gain table is re-evaluated only for
+  // the photos whose gain scans read a best-sim the move changed. Rebuilding
+  // the evaluator per accept (|S| Adds each) or the whole table per accept
+  // (every affordable photo each) fails the `perf` tier.
+  OpenImagesOptions generate;
+  generate.num_photos = 300;
+  generate.seed = 41;
+  generate.render_size = 32;
+  generate.required_fraction = 0.05;
+  const Corpus corpus = GenerateOpenImagesCorpus(generate);
+  IncrementalOptions options;
+  options.archive.budget = corpus.TotalBytes() * 4 / 10;
+  IncrementalArchiver archiver(options);
+  std::vector<PhotoId> seed = archiver.Initialize(corpus).retained;
+  // A 30% budget cut.
+  const ParInstance instance =
+      BuildInstance(corpus, options.archive.budget * 70 / 100,
+                    options.archive.representation);
+  FitSeedToBudget(instance, seed);
+  SolverResult result =
+      LazyGreedyFrom(instance, GreedyRule::kCostBenefit, CelfOptions{}, seed);
+
+  // The first table scores every photo a refill could afford.
+  Cost max_victim_cost = 0;
+  std::vector<char> selected(instance.num_photos(), 0);
+  for (PhotoId p : result.selected) {
+    selected[p] = 1;
+    if (!instance.IsRequired(p)) {
+      max_victim_cost = std::max(max_victim_cost, instance.cost(p));
+    }
+  }
+  const Cost reach = instance.budget() - result.cost + max_victim_cost;
+  std::size_t affordable = 0;
+  for (PhotoId p = 0; p < instance.num_photos(); ++p) {
+    if (!selected[p] && instance.cost(p) <= reach) ++affordable;
+  }
+
+  LocalSearchOptions ls;
+  ls.max_passes = 1;
+  const LocalSearchStats stats = ImproveByLocalSearch(instance, result, ls);
+  // Measured: 3 accepted moves; 131 Adds in the one re-Add; 221 table
+  // evaluations, 134 of them for the first table. A table recomputed per
+  // accept would take about 134 × 4.
+  const std::size_t accepted = static_cast<std::size_t>(stats.moves_accepted);
+  ASSERT_GE(accepted, 2u);
+  EXPECT_EQ(stats.readd_evaluations, result.selected.size());
+  EXPECT_LE(stats.table_evaluations, affordable + accepted * affordable / 2)
+      << accepted << " accepted, " << affordable << " affordable";
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "datagen/openimages.h"
 #include "phocus/system.h"
 #include "service/protocol.h"
+#include "telemetry/trace.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -287,6 +288,27 @@ SolverResult UnseededLocalSearch(const ParInstance& instance,
   return solution;
 }
 
+/// S0 plus photos in a seeded random order while they fit: a start that
+/// leaves local search plenty of improving swaps.
+SolverResult RandomFill(const ParInstance& instance, std::uint64_t seed) {
+  SolverResult start;
+  start.selected = instance.RequiredPhotos();
+  for (PhotoId p : start.selected) start.cost += instance.cost(p);
+  Rng rng(seed);
+  std::vector<PhotoId> order(instance.num_photos());
+  for (PhotoId p = 0; p < instance.num_photos(); ++p) order[p] = p;
+  rng.Shuffle(order);
+  for (PhotoId p : order) {
+    if (instance.IsRequired(p) ||
+        start.cost + instance.cost(p) > instance.budget()) {
+      continue;
+    }
+    start.selected.push_back(p);
+    start.cost += instance.cost(p);
+  }
+  return start;
+}
+
 /// `instance` with every third entry of each sparse row dropped: rows stay
 /// ascending but lose their mirrors.
 ParInstance DropMirrors(const ParInstance& instance) {
@@ -328,22 +350,7 @@ TEST(LocalSearchEquivalenceTest, SeededRefillsMatchUnseeded) {
         const ParInstance instance =
             mirrored ? generated : DropMirrors(generated);
         instance.Validate();
-        // A random fill leaves local search plenty of improving swaps.
-        SolverResult start;
-        start.selected = instance.RequiredPhotos();
-        for (PhotoId p : start.selected) start.cost += instance.cost(p);
-        Rng rng(seed);
-        std::vector<PhotoId> order(instance.num_photos());
-        for (PhotoId p = 0; p < instance.num_photos(); ++p) order[p] = p;
-        rng.Shuffle(order);
-        for (PhotoId p : order) {
-          if (instance.IsRequired(p) ||
-              start.cost + instance.cost(p) > instance.budget()) {
-            continue;
-          }
-          start.selected.push_back(p);
-          start.cost += instance.cost(p);
-        }
+        const SolverResult start = RandomFill(instance, seed);
 
         SolverResult seeded = start;
         LocalSearchOptions ls;
@@ -359,6 +366,89 @@ TEST(LocalSearchEquivalenceTest, SeededRefillsMatchUnseeded) {
     }
   }
   EXPECT_GT(accepted, 0u);
+}
+
+TEST(LocalSearchEquivalenceTest, ManyAcceptsPerPassMatchUnseeded) {
+  // Dozens of accepted moves in one pass, each adopting its lane and
+  // patching `current`'s gain table from the arena diff, against a pass that
+  // re-Adds after every accept and seeds nothing. Run by ctest at 1 and 4
+  // threads as well.
+  for (const bool mirrored : {true, false}) {
+    for (const ModeCase& mode : kModes) {
+      if (!mirrored && mode.mode != Subset::SimMode::kSparse) continue;
+      for (std::uint64_t seed = 71; seed <= 72; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << mode.name << (mirrored ? "" : " without mirrors")
+                     << " seed " << seed);
+        auto options = InstanceOptionsFor(mode.mode);
+        options.num_photos = 240;
+        options.num_subsets = 120;
+        options.max_subset_size = 12;
+        options.required_fraction = 0.05;
+        options.sim_levels = 4;
+        const ParInstance generated =
+            testing::MakeRandomInstance(seed, options);
+        const ParInstance instance =
+            mirrored ? generated : DropMirrors(generated);
+        const SolverResult start = RandomFill(instance, seed);
+
+        for (const int passes : {1, 3}) {
+          SolverResult adopted = start;
+          LocalSearchOptions ls;
+          ls.max_passes = passes;
+          const LocalSearchStats stats =
+              ImproveByLocalSearch(instance, adopted, ls);
+          const SolverResult unseeded =
+              UnseededLocalSearch(instance, start, passes);
+          EXPECT_EQ(adopted.selected, unseeded.selected);
+          EXPECT_EQ(adopted.score, unseeded.score);
+          // One pick covers a whole uniform subset, so fewer swaps pay.
+          EXPECT_GE(stats.moves_accepted,
+                    mode.mode == Subset::SimMode::kUniform ? 5 : 30);
+          // One re-Add of the final selection, and a table patched after
+          // each accept instead of recomputed.
+          EXPECT_EQ(stats.readd_evaluations, adopted.selected.size());
+          EXPECT_LT(stats.table_evaluations,
+                    static_cast<std::size_t>(stats.moves_accepted) *
+                        instance.num_photos() / 2);
+        }
+      }
+    }
+  }
+}
+
+TEST(LocalSearchTelemetryTest, ProbeRefillsLeaveNoGlobalRoots) {
+  // Probe refills run on pool workers, where a span has no parent and would
+  // become a root of the bounded global collector.
+  ASSERT_GE(ThreadPool::Global().num_threads(), 2u);
+  auto options = InstanceOptionsFor(Subset::SimMode::kSparse);
+  options.num_photos = 240;
+  options.num_subsets = 120;
+  const ParInstance instance = testing::MakeRandomInstance(81, options);
+  SolverResult solution = RandomFill(instance, 81);
+  instance.BuildMembershipIndex();
+
+  telemetry::TraceCollector& global = telemetry::TraceCollector::Global();
+  global.Clear();
+  const std::uint64_t dropped = global.dropped();
+  telemetry::TraceCollector local;
+  LocalSearchStats stats;
+  {
+    telemetry::ScopedTraceSink sink(&local);
+    stats = ImproveByLocalSearch(instance, solution);
+  }
+  EXPECT_GT(stats.moves_tried, 16);
+  EXPECT_TRUE(global.Snapshot().empty());
+  EXPECT_EQ(global.dropped(), dropped);
+  const std::vector<telemetry::SpanRecord> roots = local.Drain();
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].name, "solver.local_search");
+  EXPECT_TRUE(roots[0].children.empty());
+  std::string refills;
+  for (const auto& [key, value] : roots[0].attributes) {
+    if (key == "refills") refills = value;
+  }
+  EXPECT_GE(std::stoll(refills), stats.moves_tried);
 }
 
 TEST(LocalSearchEquivalenceTest, EvaluatePassCountsActualEvaluations) {
@@ -489,6 +579,36 @@ TEST(CsrLayoutTest, SparseRowViewsAndMembershipIndex) {
   EXPECT_EQ(instance.memberships(9)[1].subset, 1u);
   EXPECT_EQ(instance.memberships(9)[1].local_index, 0u);
   EXPECT_TRUE(instance.memberships(3).empty());
+}
+
+TEST(CsrLayoutTest, SetSparseRowsFlagsExactlyTheMirroredRows) {
+  Subset q;
+  q.members = {4, 9, 2};
+  q.sim_mode = Subset::SimMode::kSparse;
+  q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {{0, 0.25f}}});
+  EXPECT_TRUE(q.sparse_mirrored);
+  q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {{0, 0.5f}}});
+  EXPECT_FALSE(q.sparse_mirrored) << "a mirror with other value bits";
+  q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {}});
+  EXPECT_FALSE(q.sparse_mirrored) << "an entry without a mirror";
+
+  auto options = InstanceOptionsFor(Subset::SimMode::kSparse);
+  options.sim_levels = 4;
+  for (std::uint64_t seed = 61; seed <= 64; ++seed) {
+    const ParInstance generated = testing::MakeRandomInstance(seed, options);
+    const ParInstance dropped = DropMirrors(generated);
+    std::size_t unflagged = 0;
+    for (SubsetId s = 0; s < generated.num_subsets(); ++s) {
+      EXPECT_TRUE(generated.subset(s).sparse_mirrored);
+      EXPECT_EQ(testing::SparseMirrorDiff(generated.subset(s)), "");
+      const Subset& subset = dropped.subset(s);
+      EXPECT_EQ(subset.sparse_mirrored,
+                testing::SparseMirrorDiff(subset).empty())
+          << "seed " << seed << ", subset " << s;
+      if (!subset.sparse_mirrored) ++unflagged;
+    }
+    EXPECT_GT(unflagged, generated.num_subsets() / 2) << "seed " << seed;
+  }
 }
 
 }  // namespace

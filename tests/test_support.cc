@@ -223,10 +223,35 @@ std::string SparseRowsDiff(const Subset& got, const Subset& want) {
            std::to_string(want.sparse_indices.size()) + ")";
   }
   if (got.sparse_indices != want.sparse_indices) return "neighbor ids differ";
+  // memcmp must not see the null data() of an empty vector.
   if (got.sparse_values.size() != want.sparse_values.size() ||
-      std::memcmp(got.sparse_values.data(), want.sparse_values.data(),
-                  got.sparse_values.size() * sizeof(float)) != 0) {
+      (!got.sparse_values.empty() &&
+       std::memcmp(got.sparse_values.data(), want.sparse_values.data(),
+                   got.sparse_values.size() * sizeof(float)) != 0)) {
     return "similarity bits differ";
+  }
+  return "";
+}
+
+std::string SparseMirrorDiff(const Subset& subset) {
+  if (subset.sim_mode != Subset::SimMode::kSparse) return "not a sparse subset";
+  const std::uint32_t m = static_cast<std::uint32_t>(subset.size());
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const SparseSimRow row = subset.sparse_row(i);
+    for (std::uint32_t k = 0; k < row.size; ++k) {
+      const std::uint32_t j = row.indices[k];
+      const std::string entry =
+          "(" + std::to_string(i) + ", " + std::to_string(j) + ")";
+      if (j >= m) return "entry " + entry + " out of range";
+      const SparseSimRow mirror = subset.sparse_row(j);
+      const std::uint32_t* end = mirror.indices + mirror.size;
+      const std::uint32_t* at = std::find(mirror.indices, end, i);
+      if (at == end) return "entry " + entry + " has no mirror";
+      if (std::memcmp(&mirror.values[at - mirror.indices], &row.values[k],
+                      sizeof(float)) != 0) {
+        return "entry " + entry + " differs from its mirror";
+      }
+    }
   }
   return "";
 }

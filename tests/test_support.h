@@ -62,6 +62,11 @@ Subset DenseThresholdedSubset(const Corpus& corpus, const SubsetSpec& spec,
 /// otherwise what differs.
 std::string SparseRowsDiff(const Subset& got, const Subset& want);
 
+/// Empty iff `subset`'s CSR is mirrored bit for bit (every entry (i, j) has
+/// an entry (j, i) with the same value bits), checked entry by entry with a
+/// lookup into the other row; otherwise the first entry without a mirror.
+std::string SparseMirrorDiff(const Subset& subset);
+
 }  // namespace testing
 }  // namespace phocus
 
