@@ -34,7 +34,9 @@ void Subset::SetSparseRows(
     }
     sparse_offsets.push_back(static_cast<std::uint32_t>(sparse_indices.size()));
   }
-  sparse_mirrored = SparseRowsMirrored();
+  PHOCUS_CHECK(SparseRowsMirrored(),
+               "sparse rows must be mirrored: each (i, j) entry needs a "
+               "(j, i) entry with the same value");
 }
 
 bool Subset::SparseRowsMirrored() const {
@@ -74,10 +76,9 @@ double Subset::Similarity(std::uint32_t local_a, std::uint32_t local_b) const {
       return dense_sim[static_cast<std::size_t>(local_a) * members.size() + local_b];
     case SimMode::kSparse: {
       const SparseSimRow row = sparse_row(local_a);
-      for (std::uint32_t k = 0; k < row.size; ++k) {
-        if (row.indices[k] == local_b) return row.values[k];
-      }
-      return 0.0;
+      const std::uint32_t* end = row.indices + row.size;
+      const std::uint32_t* it = std::lower_bound(row.indices, end, local_b);
+      return it != end && *it == local_b ? row.values[it - row.indices] : 0.0;
     }
   }
   return 0.0;

@@ -55,31 +55,29 @@ struct Subset {
   /// kSparse, CSR layout: row i (a local member index) holds the (other
   /// local index, sim) entries with sim > 0 at
   /// `sparse_indices/sparse_values[sparse_offsets[i] .. sparse_offsets[i+1])`.
-  /// Symmetric; self-pairs excluded; each row in ascending index order, so
-  /// a lookup is a binary search. Build with SetSparseRows() or append rows
-  /// in order, keeping `sparse_offsets` sized |members|+1.
+  /// Self-pairs excluded; each row in ascending index order, so a lookup is
+  /// a binary search. Mirrored bit for bit: entry (i, j) is stored exactly
+  /// when (j, i) is, with the same value, so j's own row lists the members
+  /// whose rows hold j, and a removal re-covers j from it. Rows from outside
+  /// go through SetSparseRows(), which checks this; a writer that mirrors by
+  /// construction (BuildInstance's sweep, SparsifyInstance: each pair's one
+  /// value into both rows) may append rows in order, keeping
+  /// `sparse_offsets` sized |members|+1.
   std::vector<std::uint32_t> sparse_offsets;
   std::vector<std::uint32_t> sparse_indices;
   std::vector<float> sparse_values;
-  /// kSparse: true when the CSR is mirrored bit for bit, entry (i, j)
-  /// stored exactly when (j, i) is, with the same value. Then the members
-  /// whose rows hold j are j's own neighbors, and a removal re-covers j from
-  /// j's own row. Set where the CSR is written (BuildInstance's sweep,
-  /// SetSparseRows after checking its rows); false takes the general path.
-  bool sparse_mirrored = false;
 
   std::size_t size() const { return members.size(); }
 
   /// Converts per-row neighbor lists into the CSR arrays, sorting each row
-  /// by index (rows may have been filled in any order), and sets
-  /// `sparse_mirrored` from SparseRowsMirrored(). `rows` must have one entry
-  /// per member.
+  /// by index (rows may have been filled in any order). `rows` must have
+  /// one entry per member and be mirrored bit for bit (throws CheckFailure
+  /// otherwise).
   void SetSparseRows(
       const std::vector<std::vector<std::pair<std::uint32_t, float>>>& rows);
 
-  /// Whether the CSR arrays are mirrored bit for bit (see
-  /// `sparse_mirrored`): one O(entries) pass, for the writers that set the
-  /// flag outside the plan path.
+  /// Whether the CSR arrays are mirrored bit for bit: one O(entries) pass,
+  /// which the plan path does not pay (see SetSparseRows).
   bool SparseRowsMirrored() const;
 
   /// CSR row view for local member index `i`. Requires kSparse with a
@@ -90,7 +88,8 @@ struct Subset {
             sparse_offsets[i + 1] - begin};
   }
 
-  /// SIM between two members, by *local* index. Diagonal returns 1.
+  /// SIM between two members, by *local* index. Diagonal returns 1; an
+  /// absent sparse entry returns 0 (a binary search of the ascending row).
   double Similarity(std::uint32_t local_a, std::uint32_t local_b) const;
 
   /// Number of stored (nonzero, off-diagonal) similarity entries; for dense
@@ -181,7 +180,7 @@ class ParInstance {
 
   /// Structural validation: relevance normalized, similarities in [0, 1],
   /// dense diagonals 1 and symmetric, sparse CSR well-formed with ascending
-  /// rows,
+  /// rows (their mirroring is left to the writers, see `sparse_offsets`),
   /// required cost within budget. Throws CheckFailure with a precise message
   /// on violation.
   void Validate() const;

@@ -43,7 +43,8 @@ struct Lane {
   ObjectiveEvaluator evaluator;
   std::vector<Membership> lowered;
   /// Per photo: whether the probe's Remove lowered a slot its gain scan
-  /// reads. Only the photos in `touched_list` are set between probes.
+  /// reads with a sim above the slot's new value (MarkSlotReaders). Only
+  /// the photos in `touched_list` are set between probes.
   std::vector<char> touched;
   std::vector<PhotoId> touched_list;
   RefillSeed seed;
@@ -53,37 +54,47 @@ struct Lane {
   std::uint64_t refill_ns = 0;
 };
 
-/// Calls `mark` on every photo whose gain scan reads one of `slots` (grouped
-/// by subset), maybe more than once. A candidate's gain scan reads its own
-/// slot and its row's slots: in a mirrored sparse subset the rows holding j
-/// are j's own neighbors; otherwise every member counts as a reader.
+/// Calls `mark` on every photo whose GainOf can differ when slot j of
+/// `subset` changes between `floor` and a higher value, maybe more than
+/// once. A reader's term for slot j is rel·(sim − best[j]) where positive
+/// and +0.0 otherwise, and the kernels add +0.0 without changing a sum; so
+/// a reader whose sim is at most `floor` keeps its gain bit for bit. Slot
+/// j's own member reads it with sim 1; the other readers are j's dense
+/// column, or j's own row in the mirrored sparse CSR. Returns true when it
+/// marked every member (a uniform subset reads every slot with sim 1), so
+/// the subset's other slots add no reader.
 template <typename Mark>
-void ForEachReader(const ParInstance& instance,
-                   const std::vector<Membership>& slots, Mark&& mark) {
-  SubsetId whole = static_cast<SubsetId>(instance.num_subsets());
-  for (const Membership& slot : slots) {
-    const Subset& subset = instance.subset(slot.subset);
-    if (subset.sim_mode == Subset::SimMode::kSparse &&
-        subset.sparse_mirrored) {
-      mark(subset.members[slot.local_index]);
-      const SparseSimRow row = subset.sparse_row(slot.local_index);
-      for (std::uint32_t k = 0; k < row.size; ++k) {
-        mark(subset.members[row.indices[k]]);
+bool MarkSlotReaders(const Subset& subset, std::uint32_t j, float floor,
+                     Mark&& mark) {
+  const std::uint32_t m = static_cast<std::uint32_t>(subset.size());
+  mark(subset.members[j]);
+  switch (subset.sim_mode) {
+    case Subset::SimMode::kDense:
+      for (std::uint32_t i = 0; i < m; ++i) {
+        if (subset.dense_sim[static_cast<std::size_t>(i) * m + j] > floor) {
+          mark(subset.members[i]);
+        }
       }
-    } else if (slot.subset != whole) {
-      for (PhotoId member : subset.members) mark(member);
-      whole = slot.subset;
+      return false;
+    case Subset::SimMode::kSparse: {
+      const SparseSimRow row = subset.sparse_row(j);
+      for (std::uint32_t k = 0; k < row.size; ++k) {
+        if (row.values[k] > floor) mark(subset.members[row.indices[k]]);
+      }
+      return false;
     }
+    case Subset::SimMode::kUniform:
+      for (PhotoId member : subset.members) mark(member);
+      return true;
   }
+  return false;
 }
 
 /// Calls `mark` on every photo whose GainOf can differ between `before`
 /// and `after`, two evaluators that differ only in the best-sims of
 /// `subsets` (and in the selection of photos the caller handles), maybe
-/// more than once. A reader's term for slot j is rel·(sim − best[j]) where
-/// positive and +0.0 otherwise, and the kernels add +0.0 without changing
-/// a sum; so a reader whose sim is at most both values of a changed slot
-/// keeps its gain bit for bit. Slot j's own member reads it with sim 1.
+/// more than once: the readers of each changed slot above the lower of its
+/// two values.
 template <typename Mark>
 void ForEachChangedReader(const ParInstance& instance,
                           const ObjectiveEvaluator& before,
@@ -91,29 +102,12 @@ void ForEachChangedReader(const ParInstance& instance,
                           const std::vector<SubsetId>& subsets, Mark&& mark) {
   for (SubsetId q : subsets) {
     const Subset& subset = instance.subset(q);
-    const std::uint32_t m = static_cast<std::uint32_t>(subset.size());
     const float* old_best = before.BestSims(q);
     const float* new_best = after.BestSims(q);
-    for (std::uint32_t j = 0; j < m; ++j) {
+    for (std::uint32_t j = 0; j < subset.size(); ++j) {
       if (old_best[j] == new_best[j]) continue;
-      const float floor = std::min(old_best[j], new_best[j]);
-      mark(subset.members[j]);
-      if (subset.sim_mode == Subset::SimMode::kDense) {
-        for (std::uint32_t i = 0; i < m; ++i) {
-          if (subset.dense_sim[static_cast<std::size_t>(i) * m + j] > floor) {
-            mark(subset.members[i]);
-          }
-        }
-      } else if (subset.sim_mode == Subset::SimMode::kSparse &&
-                 subset.sparse_mirrored) {
-        const SparseSimRow row = subset.sparse_row(j);
-        for (std::uint32_t k = 0; k < row.size; ++k) {
-          if (row.values[k] > floor) mark(subset.members[row.indices[k]]);
-        }
-      } else {
-        // Uniform rows read every slot with sim 1; an unmirrored CSR does
-        // not say which rows hold j.
-        for (PhotoId member : subset.members) mark(member);
+      if (MarkSlotReaders(subset, j, std::min(old_best[j], new_best[j]),
+                          mark)) {
         break;
       }
     }
@@ -159,11 +153,12 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
   // unselected photos a refill could afford; the table is brought current
   // for them when a probe first needs it after a change. A probe's lane
   // differs from `current` only in the best-sims its Remove lowered, so
-  // every candidate whose gain scan reads none of them has this exact gain
-  // in the lane too: it enters the refill heap fresh, and only the others
-  // (the victim included) are re-evaluated. The lazy +inf seed would have
-  // refreshed every candidate before the first pick anyway, so the heap,
-  // and with it every pick, is the same; only the evaluation count falls.
+  // every candidate that reads none of them above its new value has this
+  // exact gain in the lane too: it enters the refill heap fresh, and only
+  // the others (the victim included) are re-evaluated. The lazy +inf seed
+  // would have refreshed every candidate before the first pick anyway, so
+  // the heap, and with it every pick, is the same; only the evaluation
+  // count falls.
   std::vector<double> gains(n, kUnknown);
   std::vector<PhotoId> affordable;
   std::vector<PhotoId> to_score;
@@ -236,11 +231,21 @@ LocalSearchStats ImproveByLocalSearch(const ParInstance& instance,
         const std::size_t evals_before = evaluator.gain_evaluations();
         lane.lowered.clear();
         evaluator.Remove(probe.victim, &lane.lowered);
-        ForEachReader(instance, lane.lowered, [&](PhotoId p) {
+        // Remove only lowers, so a lowered slot's new value is its floor.
+        const auto touch = [&](PhotoId p) {
           if (lane.touched[p]) return;
           lane.touched[p] = 1;
           lane.touched_list.push_back(p);
-        });
+        };
+        SubsetId whole = static_cast<SubsetId>(instance.num_subsets());
+        for (const Membership& slot : lane.lowered) {
+          if (slot.subset == whole) continue;
+          if (MarkSlotReaders(
+                  instance.subset(slot.subset), slot.local_index,
+                  evaluator.BestSims(slot.subset)[slot.local_index], touch)) {
+            whole = slot.subset;
+          }
+        }
         // The refill's candidates: the table's affordable photos that fit
         // the freed budget, then the victim (it fits: it was paid for).
         const Cost remaining = instance.budget() - evaluator.selected_cost();

@@ -44,8 +44,9 @@ struct LocalSearchStats {
   /// SolverResult::gain_evaluations.
   std::size_t gain_evaluations = 0;
   /// Over the consumed probes: refill candidates that entered the heap with
-  /// `current`'s exact gain (their gain scans read no best-sim the victim's
-  /// removal lowered), and those seeded +inf and re-evaluated.
+  /// `current`'s exact gain (none of their gain scans reads a best-sim the
+  /// victim's removal lowered with a sim above its new value), and those
+  /// seeded +inf and re-evaluated (the victim and the other candidates).
   std::size_t keys_reused = 0;
   std::size_t keys_refreshed = 0;
   /// The accept path's oracle calls, both also in `gain_evaluations`. An

@@ -1,7 +1,5 @@
 #include "core/objective.h"
 
-#include <algorithm>
-
 #include "kernels/kernels.h"
 #include "util/logging.h"
 
@@ -147,26 +145,6 @@ double MembershipAdd(const Subset& subset, std::uint32_t local_p,
   return 0.0;
 }
 
-/// Member i's contribution to member j's best-sim, exactly as MembershipAdd
-/// raises it: 1 on the diagonal, else the stored similarity (0 where a
-/// sparse row has no entry; rows are in ascending index order).
-float Contribution(const Subset& subset, std::uint32_t i, std::uint32_t j) {
-  if (i == j) return 1.0f;
-  switch (subset.sim_mode) {
-    case Subset::SimMode::kUniform:
-      return 1.0f;
-    case Subset::SimMode::kDense:
-      return subset.dense_sim[static_cast<std::size_t>(i) * subset.size() + j];
-    case Subset::SimMode::kSparse: {
-      const SparseSimRow row = subset.sparse_row(i);
-      const std::uint32_t* end = row.indices + row.size;
-      const std::uint32_t* it = std::lower_bound(row.indices, end, j);
-      return it != end && *it == j ? row.values[it - row.indices] : 0.0f;
-    }
-  }
-  return 0.0f;
-}
-
 }  // namespace
 
 double ObjectiveEvaluator::GainOf(PhotoId p) const {
@@ -224,8 +202,8 @@ void ObjectiveEvaluator::LoweredWithout(
       }
     }
   };
-  if (subset.sim_mode == Subset::SimMode::kSparse && subset.sparse_mirrored) {
-    // Member i's contribution to j is row_i[j], which a mirrored CSR also
+  if (subset.sim_mode == Subset::SimMode::kSparse) {
+    // Member i's contribution to j is row_i[j], which the mirrored CSR also
     // stores as row_j[i] with the same bits: j's own row lists every
     // contribution, so no other member's row is searched.
     for_each_attained([&](std::uint32_t j) {
@@ -253,10 +231,13 @@ void ObjectiveEvaluator::LoweredWithout(
     for (std::uint32_t j = 0; j < m; ++j) lowered->push_back({j, 0.0f});
     return;
   }
+  // A dense member's contribution: 1 on the diagonal, as MembershipAdd
+  // raises it, else the stored similarity.
   for_each_attained([&](std::uint32_t j) {
     float value = 0.0f;
     for (std::uint32_t i : others) {
-      const float c = Contribution(subset, i, j);
+      const float c =
+          i == j ? 1.0f : subset.dense_sim[static_cast<std::size_t>(i) * m + j];
       if (c > value) value = c;
       if (value == best[j]) return;  // another member attains it too
     }

@@ -1,5 +1,7 @@
 #include "core/sparsify.h"
 
+#include <algorithm>
+
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
@@ -35,14 +37,19 @@ ParInstance SparsifyInstance(const ParInstance& instance, double tau,
     }
     sparse.sim_mode = Subset::SimMode::kSparse;
     // Rows are produced in order, so the CSR arrays are built directly —
-    // no intermediate row lists.
+    // no intermediate row lists. Both ways keep the rows mirrored bit for
+    // bit (see Subset::sparse_offsets).
     sparse.sparse_offsets.reserve(m + 1);
     sparse.sparse_offsets.push_back(0);
     if (q.sim_mode == Subset::SimMode::kDense) {
+      // Validate lets (i, j) and (j, i) differ by 1e-6, so each unordered
+      // pair takes its upper-triangle value in both rows.
       for (std::uint32_t i = 0; i < m; ++i) {
         for (std::uint32_t j = 0; j < m; ++j) {
           if (i == j) continue;
-          const float s = q.dense_sim[static_cast<std::size_t>(i) * m + j];
+          const std::size_t upper =
+              static_cast<std::size_t>(std::min(i, j)) * m + std::max(i, j);
+          const float s = q.dense_sim[upper];
           if (s >= tau && s > 0.0f) {
             sparse.sparse_indices.push_back(j);
             sparse.sparse_values.push_back(s);
@@ -52,7 +59,7 @@ ParInstance SparsifyInstance(const ParInstance& instance, double tau,
         sparse.sparse_offsets.push_back(
             static_cast<std::uint32_t>(sparse.sparse_indices.size()));
       }
-    } else {  // already sparse: re-threshold
+    } else {  // already sparse: a pair's two entries stay or go together
       for (std::uint32_t i = 0; i < m; ++i) {
         const SparseSimRow row = q.sparse_row(i);
         for (std::uint32_t k = 0; k < row.size; ++k) {
@@ -66,11 +73,6 @@ ParInstance SparsifyInstance(const ParInstance& instance, double tau,
             static_cast<std::uint32_t>(sparse.sparse_indices.size()));
       }
     }
-    // Re-thresholding keeps or drops a mirrored pair's two equal entries
-    // together; a dense source has no flag, so its output is checked.
-    sparse.sparse_mirrored = q.sim_mode == Subset::SimMode::kSparse
-                                 ? q.sparse_mirrored
-                                 : sparse.SparseRowsMirrored();
     out.AddSubset(std::move(sparse));
   }
   if (stats != nullptr) {

@@ -45,7 +45,7 @@ std::vector<float> SubsetSimilarityMatrix(
 /// One subset's τ-sparsified SIM in CSR form: row i lists, in ascending
 /// order, the members j ≠ i whose similarity to i is at least τ. Each pair
 /// has one value, written into both of its rows, so the CSR is mirrored bit
-/// for bit (Subset::sparse_mirrored).
+/// for bit, as Subset's kSparse rows must be.
 struct SparseSimilarity {
   std::vector<std::uint32_t> offsets;  ///< m + 1 row starts
   std::vector<std::uint32_t> indices;

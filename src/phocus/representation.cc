@@ -78,8 +78,6 @@ ParInstance BuildInstance(const Corpus& corpus, Cost budget,
       subset.sparse_offsets = std::move(sparse.offsets);
       subset.sparse_indices = std::move(sparse.indices);
       subset.sparse_values = std::move(sparse.values);
-      // The sweep writes each kept pair's one value into both rows.
-      subset.sparse_mirrored = true;
       vectors += m;
       candidates += m < 2 ? 0 : m * (m - 1) / 2;
       outputs += subset.sparse_indices.size() / 2;

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 
 #include "core/instance.h"
 #include "core/objective.h"
+#include "core/sparsify.h"
 #include "tests/test_support.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -48,13 +49,25 @@ TEST(InstanceTest, SubsetSimilarityModes) {
   EXPECT_EQ(dense.CountSimEntries(), 2u);
 
   Subset sparse;
-  sparse.members = {0, 1, 2};
+  sparse.members = {0, 1, 2, 3, 4, 5};
   sparse.sim_mode = Subset::SimMode::kSparse;
-  sparse.SetSparseRows({{{1, 0.7f}}, {{0, 0.7f}}, {}});
-  EXPECT_FLOAT_EQ(sparse.Similarity(0, 1), 0.7f);
-  EXPECT_DOUBLE_EQ(sparse.Similarity(0, 2), 0.0);
+  sparse.SetSparseRows({{{4, 0.25f}, {1, 0.5f}, {2, 0.75f}},
+                        {{0, 0.5f}},
+                        {{0, 0.75f}, {5, 0.125f}},
+                        {},
+                        {{0, 0.25f}},
+                        {{2, 0.125f}}});
+  EXPECT_EQ(sparse.Similarity(0, 1), 0.5f);
+  EXPECT_EQ(sparse.Similarity(0, 2), 0.75f);
+  EXPECT_EQ(sparse.Similarity(0, 4), 0.25f);
+  EXPECT_EQ(sparse.Similarity(5, 2), 0.125f);
+  // Absent before, between and after a row's entries, and in an empty row.
+  EXPECT_EQ(sparse.Similarity(5, 0), 0.0);
+  EXPECT_EQ(sparse.Similarity(0, 3), 0.0);
+  EXPECT_EQ(sparse.Similarity(0, 5), 0.0);
+  EXPECT_EQ(sparse.Similarity(3, 0), 0.0);
   EXPECT_DOUBLE_EQ(sparse.Similarity(2, 2), 1.0);
-  EXPECT_EQ(sparse.CountSimEntries(), 2u);
+  EXPECT_EQ(sparse.CountSimEntries(), 8u);
 }
 
 TEST(InstanceTest, AddSubsetDefaultsUniformRelevance) {
@@ -439,49 +452,47 @@ TEST_P(ObjectivePropertyTest, RemoveChainMatchesFreshEvaluator) {
   }
 }
 
-TEST_P(ObjectivePropertyTest, MirroredRemoveMatchesTheGeneralPath) {
-  // A mirrored subset re-covers a member from its own row; with the flag
-  // cleared, the same CSR takes the general path through the other selected
-  // members' rows. Both must lower the same slots to the same bits.
+TEST_P(ObjectivePropertyTest, SparsifiedRemoveChainMatchesFreshEvaluator) {
+  // A dense source may store (i, j) and (j, i) a last float bit apart,
+  // which Validate accepts; SparsifyInstance still writes each pair's one
+  // value into both rows, so the sparse removal path can re-cover a member
+  // from its own row.
   RandomInstanceOptions options;
   options.num_photos = 16;
   options.num_subsets = 8;
   options.max_subset_size = 8;
   options.sim_sparsity = 0.3;
   options.sim_levels = 4;  // many members tie for their best neighbor
-  options.sim_mode = Subset::SimMode::kSparse;
-  const ParInstance mirrored = MakeRandomInstance(GetParam(), options);
-  ParInstance general = mirrored;
-  for (SubsetId q = 0; q < mirrored.num_subsets(); ++q) {
-    ASSERT_TRUE(mirrored.subset(q).sparse_mirrored) << "subset " << q;
-    general.mutable_subset(q).sparse_mirrored = false;
+  options.sim_mode = Subset::SimMode::kDense;
+  ParInstance dense = MakeRandomInstance(GetParam(), options);
+  std::size_t skewed = 0;
+  for (SubsetId q = 0; q < dense.num_subsets(); ++q) {
+    Subset& subset = dense.mutable_subset(q);
+    const std::size_t m = subset.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        float& lower = subset.dense_sim[i * m + j];
+        if (lower > 0.0f) {
+          lower = std::nextafter(lower, 0.0f);
+          ++skewed;
+        }
+      }
+    }
+  }
+  ASSERT_GT(skewed, 0u);
+  dense.Validate();
+  const ParInstance sparse = SparsifyInstance(dense, 0.5);
+  sparse.Validate();
+  for (SubsetId q = 0; q < sparse.num_subsets(); ++q) {
+    ASSERT_EQ(sparse.subset(q).sim_mode, Subset::SimMode::kSparse);
+    // The check SetSparseRows applies to rows from outside.
+    EXPECT_TRUE(sparse.subset(q).SparseRowsMirrored()) << "subset " << q;
   }
   Rng rng(GetParam() ^ 0x31e202ULL);
-  std::vector<PhotoId> order(mirrored.num_photos());
-  for (PhotoId p = 0; p < mirrored.num_photos(); ++p) order[p] = p;
+  std::vector<PhotoId> order(sparse.num_photos());
+  for (PhotoId p = 0; p < sparse.num_photos(); ++p) order[p] = p;
   rng.Shuffle(order);
-  ObjectiveEvaluator fast(&mirrored, order);
-  ObjectiveEvaluator slow(&general, order);
-  for (PhotoId victim : order) {
-    SCOPED_TRACE(::testing::Message() << "victim " << victim);
-    EXPECT_EQ(fast.RemovalLoss(victim), slow.RemovalLoss(victim));
-    std::vector<Membership> fast_lowered;
-    std::vector<Membership> slow_lowered;
-    EXPECT_EQ(fast.Remove(victim, &fast_lowered),
-              slow.Remove(victim, &slow_lowered));
-    ASSERT_EQ(fast_lowered.size(), slow_lowered.size());
-    for (std::size_t k = 0; k < fast_lowered.size(); ++k) {
-      EXPECT_EQ(fast_lowered[k].subset, slow_lowered[k].subset);
-      EXPECT_EQ(fast_lowered[k].local_index, slow_lowered[k].local_index);
-    }
-    for (SubsetId q = 0; q < mirrored.num_subsets(); ++q) {
-      EXPECT_EQ(std::memcmp(fast.BestSims(q), slow.BestSims(q),
-                            mirrored.subset(q).size() * sizeof(float)),
-                0)
-          << "subset " << q << "'s best-sims differ";
-    }
-    EXPECT_EQ(fast.score(), slow.score());
-  }
+  ExpectRemoveChainMatchesFresh(sparse, order);
 }
 
 TEST(ObjectiveRemovalTest, DuplicateMemberKeepsEveryBestSim) {

@@ -188,9 +188,8 @@ TEST(RepresentationOracleTest, SparseRowsEqualThresholdedDenseMatrix) {
           EXPECT_EQ(testing::SparseRowsDiff(instance.subset(q), want), "")
               << corpus.subsets[q].name << " ctx=" << context_normalize
               << " exif=" << exif_weight << " tau=" << tau;
-          // The flag the removal and local-search paths trust, checked here
-          // with a full pass (the build itself never checks it).
-          EXPECT_TRUE(instance.subset(q).sparse_mirrored);
+          // The mirroring the removal and local-search paths trust, checked
+          // here with a full pass (the build itself never checks it).
           EXPECT_EQ(testing::SparseMirrorDiff(instance.subset(q)), "")
               << corpus.subsets[q].name << " tau=" << tau;
           if (!want.sparse_indices.empty()) ++nonempty;

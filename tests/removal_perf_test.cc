@@ -48,9 +48,11 @@ TEST(RemovalWorkTest, EvictionScoresEachPhotoOnceThenRefreshesNearTheMinimum) {
 TEST(RemovalWorkTest, RebalanceAdoptsLanesAndPatchesTheGainTable) {
   // The same replan's rebalance pass: an accepted move adopts the winning
   // probe's evaluator, and `current`'s gain table is re-evaluated only for
-  // the photos whose gain scans read a best-sim the move changed. Rebuilding
-  // the evaluator per accept (|S| Adds each) or the whole table per accept
-  // (every affordable photo each) fails the `perf` tier.
+  // the photos whose gain scans read a best-sim the move changed; a probe
+  // refreshes only the refill keys of the readers above a lowered slot's
+  // new value. Rebuilding the evaluator per accept (|S| Adds each), the
+  // whole table per accept (every affordable photo each), or refreshing
+  // every row neighbour of a lowered slot fails the `perf` tier.
   OpenImagesOptions generate;
   generate.num_photos = 300;
   generate.seed = 41;
@@ -95,6 +97,10 @@ TEST(RemovalWorkTest, RebalanceAdoptsLanesAndPatchesTheGainTable) {
   EXPECT_EQ(stats.readd_evaluations, result.selected.size());
   EXPECT_LE(stats.table_evaluations, affordable + accepted * affordable / 2)
       << accepted << " accepted, " << affordable << " affordable";
+  // Measured: 234 of 5 224 refill keys refreshed; marking every row
+  // neighbour of a lowered slot, not only the readers above its new value,
+  // refreshes 533.
+  EXPECT_LE(stats.keys_refreshed, 300u) << stats.keys_reused << " reused";
 }
 
 }  // namespace

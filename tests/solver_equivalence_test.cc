@@ -31,6 +31,7 @@
 #include "service/protocol.h"
 #include "telemetry/trace.h"
 #include "tests/test_support.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -309,60 +310,28 @@ SolverResult RandomFill(const ParInstance& instance, std::uint64_t seed) {
   return start;
 }
 
-/// `instance` with every third entry of each sparse row dropped: rows stay
-/// ascending but lose their mirrors.
-ParInstance DropMirrors(const ParInstance& instance) {
-  ParInstance out(instance.num_photos(), instance.costs(), instance.budget());
-  for (PhotoId p : instance.RequiredPhotos()) out.MarkRequired(p);
-  for (SubsetId q = 0; q < instance.num_subsets(); ++q) {
-    Subset subset = instance.subset(q);
-    std::vector<std::vector<std::pair<std::uint32_t, float>>> rows(
-        subset.size());
-    std::size_t entry = 0;
-    for (std::uint32_t i = 0; i < subset.size(); ++i) {
-      const SparseSimRow row = subset.sparse_row(i);
-      for (std::uint32_t k = 0; k < row.size; ++k) {
-        if (++entry % 3 == 0) continue;
-        rows[i].emplace_back(row.indices[k], row.values[k]);
-      }
-    }
-    subset.SetSparseRows(rows);
-    out.AddSubset(std::move(subset));
-  }
-  return out;
-}
-
 TEST(LocalSearchEquivalenceTest, SeededRefillsMatchUnseeded) {
   // Run by ctest under both kernel tables × 1 and 4 threads as well.
   std::size_t accepted = 0;
-  for (const bool mirrored : {true, false}) {
-    for (const ModeCase& mode : kModes) {
-      if (!mirrored && mode.mode != Subset::SimMode::kSparse) continue;
-      for (std::uint64_t seed = 61; seed <= 64; ++seed) {
-        SCOPED_TRACE(::testing::Message()
-                     << mode.name << (mirrored ? "" : " without mirrors")
-                     << " seed " << seed);
-        auto options = InstanceOptionsFor(mode.mode);
-        options.required_fraction = 0.1;
-        options.sim_levels = 4;
-        const ParInstance generated =
-            testing::MakeRandomInstance(seed, options);
-        const ParInstance instance =
-            mirrored ? generated : DropMirrors(generated);
-        instance.Validate();
-        const SolverResult start = RandomFill(instance, seed);
+  for (const ModeCase& mode : kModes) {
+    for (std::uint64_t seed = 61; seed <= 64; ++seed) {
+      SCOPED_TRACE(::testing::Message() << mode.name << " seed " << seed);
+      auto options = InstanceOptionsFor(mode.mode);
+      options.required_fraction = 0.1;
+      options.sim_levels = 4;
+      const ParInstance instance = testing::MakeRandomInstance(seed, options);
+      instance.Validate();
+      const SolverResult start = RandomFill(instance, seed);
 
-        SolverResult seeded = start;
-        LocalSearchOptions ls;
-        const LocalSearchStats stats =
-            ImproveByLocalSearch(instance, seeded, ls);
-        const SolverResult unseeded =
-            UnseededLocalSearch(instance, start, ls.max_passes);
-        EXPECT_EQ(seeded.selected, unseeded.selected);
-        EXPECT_EQ(seeded.score, unseeded.score);
-        EXPECT_GT(stats.keys_reused + stats.keys_refreshed, 0u);
-        accepted += static_cast<std::size_t>(stats.moves_accepted);
-      }
+      SolverResult seeded = start;
+      LocalSearchOptions ls;
+      const LocalSearchStats stats = ImproveByLocalSearch(instance, seeded, ls);
+      const SolverResult unseeded =
+          UnseededLocalSearch(instance, start, ls.max_passes);
+      EXPECT_EQ(seeded.selected, unseeded.selected);
+      EXPECT_EQ(seeded.score, unseeded.score);
+      EXPECT_GT(stats.keys_reused + stats.keys_refreshed, 0u);
+      accepted += static_cast<std::size_t>(stats.moves_accepted);
     }
   }
   EXPECT_GT(accepted, 0u);
@@ -373,45 +342,37 @@ TEST(LocalSearchEquivalenceTest, ManyAcceptsPerPassMatchUnseeded) {
   // patching `current`'s gain table from the arena diff, against a pass that
   // re-Adds after every accept and seeds nothing. Run by ctest at 1 and 4
   // threads as well.
-  for (const bool mirrored : {true, false}) {
-    for (const ModeCase& mode : kModes) {
-      if (!mirrored && mode.mode != Subset::SimMode::kSparse) continue;
-      for (std::uint64_t seed = 71; seed <= 72; ++seed) {
-        SCOPED_TRACE(::testing::Message()
-                     << mode.name << (mirrored ? "" : " without mirrors")
-                     << " seed " << seed);
-        auto options = InstanceOptionsFor(mode.mode);
-        options.num_photos = 240;
-        options.num_subsets = 120;
-        options.max_subset_size = 12;
-        options.required_fraction = 0.05;
-        options.sim_levels = 4;
-        const ParInstance generated =
-            testing::MakeRandomInstance(seed, options);
-        const ParInstance instance =
-            mirrored ? generated : DropMirrors(generated);
-        const SolverResult start = RandomFill(instance, seed);
+  for (const ModeCase& mode : kModes) {
+    for (std::uint64_t seed = 71; seed <= 72; ++seed) {
+      SCOPED_TRACE(::testing::Message() << mode.name << " seed " << seed);
+      auto options = InstanceOptionsFor(mode.mode);
+      options.num_photos = 240;
+      options.num_subsets = 120;
+      options.max_subset_size = 12;
+      options.required_fraction = 0.05;
+      options.sim_levels = 4;
+      const ParInstance instance = testing::MakeRandomInstance(seed, options);
+      const SolverResult start = RandomFill(instance, seed);
 
-        for (const int passes : {1, 3}) {
-          SolverResult adopted = start;
-          LocalSearchOptions ls;
-          ls.max_passes = passes;
-          const LocalSearchStats stats =
-              ImproveByLocalSearch(instance, adopted, ls);
-          const SolverResult unseeded =
-              UnseededLocalSearch(instance, start, passes);
-          EXPECT_EQ(adopted.selected, unseeded.selected);
-          EXPECT_EQ(adopted.score, unseeded.score);
-          // One pick covers a whole uniform subset, so fewer swaps pay.
-          EXPECT_GE(stats.moves_accepted,
-                    mode.mode == Subset::SimMode::kUniform ? 5 : 30);
-          // One re-Add of the final selection, and a table patched after
-          // each accept instead of recomputed.
-          EXPECT_EQ(stats.readd_evaluations, adopted.selected.size());
-          EXPECT_LT(stats.table_evaluations,
-                    static_cast<std::size_t>(stats.moves_accepted) *
-                        instance.num_photos() / 2);
-        }
+      for (const int passes : {1, 3}) {
+        SolverResult adopted = start;
+        LocalSearchOptions ls;
+        ls.max_passes = passes;
+        const LocalSearchStats stats =
+            ImproveByLocalSearch(instance, adopted, ls);
+        const SolverResult unseeded =
+            UnseededLocalSearch(instance, start, passes);
+        EXPECT_EQ(adopted.selected, unseeded.selected);
+        EXPECT_EQ(adopted.score, unseeded.score);
+        // One pick covers a whole uniform subset, so fewer swaps pay.
+        EXPECT_GE(stats.moves_accepted,
+                  mode.mode == Subset::SimMode::kUniform ? 5 : 30);
+        // One re-Add of the final selection, and a table patched after
+        // each accept instead of recomputed.
+        EXPECT_EQ(stats.readd_evaluations, adopted.selected.size());
+        EXPECT_LT(stats.table_evaluations,
+                  static_cast<std::size_t>(stats.moves_accepted) *
+                      instance.num_photos() / 2);
       }
     }
   }
@@ -581,33 +542,28 @@ TEST(CsrLayoutTest, SparseRowViewsAndMembershipIndex) {
   EXPECT_TRUE(instance.memberships(3).empty());
 }
 
-TEST(CsrLayoutTest, SetSparseRowsFlagsExactlyTheMirroredRows) {
+TEST(CsrLayoutTest, SetSparseRowsRejectsUnmirroredRows) {
   Subset q;
   q.members = {4, 9, 2};
   q.sim_mode = Subset::SimMode::kSparse;
-  q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {{0, 0.25f}}});
-  EXPECT_TRUE(q.sparse_mirrored);
-  q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {{0, 0.5f}}});
-  EXPECT_FALSE(q.sparse_mirrored) << "a mirror with other value bits";
-  q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {}});
-  EXPECT_FALSE(q.sparse_mirrored) << "an entry without a mirror";
+  EXPECT_NO_THROW(
+      q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {{0, 0.25f}}}));
+  EXPECT_THROW(
+      q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {{0, 0.5f}}}),
+      CheckFailure)
+      << "a mirror with other value bits";
+  EXPECT_THROW(q.SetSparseRows({{{1, 0.5f}, {2, 0.25f}}, {{0, 0.5f}}, {}}),
+               CheckFailure)
+      << "an entry without a mirror";
 
   auto options = InstanceOptionsFor(Subset::SimMode::kSparse);
   options.sim_levels = 4;
   for (std::uint64_t seed = 61; seed <= 64; ++seed) {
     const ParInstance generated = testing::MakeRandomInstance(seed, options);
-    const ParInstance dropped = DropMirrors(generated);
-    std::size_t unflagged = 0;
     for (SubsetId s = 0; s < generated.num_subsets(); ++s) {
-      EXPECT_TRUE(generated.subset(s).sparse_mirrored);
-      EXPECT_EQ(testing::SparseMirrorDiff(generated.subset(s)), "");
-      const Subset& subset = dropped.subset(s);
-      EXPECT_EQ(subset.sparse_mirrored,
-                testing::SparseMirrorDiff(subset).empty())
+      EXPECT_EQ(testing::SparseMirrorDiff(generated.subset(s)), "")
           << "seed " << seed << ", subset " << s;
-      if (!subset.sparse_mirrored) ++unflagged;
     }
-    EXPECT_GT(unflagged, generated.num_subsets() / 2) << "seed " << seed;
   }
 }
 
