@@ -8,8 +8,8 @@
 ///   --lsh-smoke --max-candidates=N   candidate-complexity guard behind the
 ///                                    lsh_perf_smoke ctest (see
 ///                                    tests/CMakeLists.txt)
-///   --bench-json=FILE                measure the serial vs sharded engines
-///                                    and export BENCH_lsh.json records
+///   --bench-json=FILE                measure all-pairs vs LSH and export
+///                                    BENCH_lsh.json records
 
 #include <cstdio>
 #include <cstring>
@@ -52,7 +52,6 @@ std::vector<Embedding> ClusteredVectors(std::size_t clusters,
 /// on the options, so candidate_pairs is machine-independent: exceeding the
 /// checked-in bound means the bucketing got less selective (a perf
 /// regression even when wall time still looks fine on a fast machine).
-/// Also cross-checks the sharded engine against the serial reference.
 int RunLshSmoke(std::size_t max_candidates) {
   const std::vector<Embedding> vectors =
       ClusteredVectors(40, 20, 64, 0.04, 77);
@@ -61,49 +60,26 @@ int RunLshSmoke(std::size_t max_candidates) {
   options.num_bits = 256;
   options.bands = SuggestBands(options.num_bits, tau);
 
-  PairSearchStats serial_stats;
-  const std::vector<SimilarPair> serial =
-      LshPairsAboveSerial(vectors, tau, options, &serial_stats);
-  PairSearchStats parallel_stats;
-  const std::vector<SimilarPair> parallel =
-      LshPairsAbove(vectors, tau, options, &parallel_stats);
-
-  if (parallel.size() != serial.size() ||
-      parallel_stats.candidate_pairs != serial_stats.candidate_pairs) {
-    std::fprintf(stderr,
-                 "FAIL: sharded engine disagrees with the serial reference "
-                 "(%zu vs %zu pairs, %zu vs %zu candidates)\n",
-                 parallel.size(), serial.size(),
-                 parallel_stats.candidate_pairs,
-                 serial_stats.candidate_pairs);
-    return 1;
-  }
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    if (parallel[i].first != serial[i].first ||
-        parallel[i].second != serial[i].second ||
-        parallel[i].similarity != serial[i].similarity) {
-      std::fprintf(stderr, "FAIL: pair %zu differs between engines\n", i);
-      return 1;
-    }
-  }
+  PairSearchStats stats;
+  LshPairsAbove(vectors, tau, options, &stats);
   std::printf(
       "lsh_perf_smoke: vectors=%zu candidates=%zu pairs=%zu bound=%zu\n",
-      vectors.size(), parallel_stats.candidate_pairs,
-      parallel_stats.output_pairs, max_candidates);
-  if (max_candidates > 0 && parallel_stats.candidate_pairs > max_candidates) {
+      vectors.size(), stats.candidate_pairs, stats.output_pairs,
+      max_candidates);
+  if (max_candidates > 0 && stats.candidate_pairs > max_candidates) {
     std::fprintf(stderr,
                  "FAIL: candidate_pairs %zu exceeds the checked-in bound %zu "
                  "— the banding got less selective\n",
-                 parallel_stats.candidate_pairs, max_candidates);
+                 stats.candidate_pairs, max_candidates);
     return 1;
   }
   return 0;
 }
 
-/// Measurement fixtures for BENCH_lsh.json: the exhaustive sweep, the
-/// serial LSH reference, and the sharded engine on the same corpus
-/// embeddings. gain_evals carries candidate_pairs (the cosine verifications
-/// — the machine-independent oracle count) and score carries output_pairs.
+/// Measurement fixtures for BENCH_lsh.json: the exhaustive sweep and the
+/// LSH finder on the same corpus embeddings. gain_evals carries
+/// candidate_pairs (the cosine verifications — the machine-independent
+/// oracle count) and score carries output_pairs.
 void RunBenchRecords(const std::vector<Embedding>& vectors, double tau) {
   bench::SetBenchFixture(StrFormat("corpus_embeddings_m%zu_tau%.2f",
                                    vectors.size(), tau));
@@ -118,17 +94,11 @@ void RunBenchRecords(const std::vector<Embedding>& vectors, double tau) {
                             all_stats.candidate_pairs,
                             static_cast<double>(all_stats.output_pairs)});
 
-  PairSearchStats serial_stats;
-  LshPairsAboveSerial(vectors, tau, options, &serial_stats);
-  bench::RecordBenchResult({"lsh_serial", m, 0, serial_stats.seconds,
-                            serial_stats.candidate_pairs,
-                            static_cast<double>(serial_stats.output_pairs)});
-
-  PairSearchStats parallel_stats;
-  LshPairsAbove(vectors, tau, options, &parallel_stats);
-  bench::RecordBenchResult({"lsh_parallel", m, 0, parallel_stats.seconds,
-                            parallel_stats.candidate_pairs,
-                            static_cast<double>(parallel_stats.output_pairs)});
+  PairSearchStats lsh_stats;
+  LshPairsAbove(vectors, tau, options, &lsh_stats);
+  bench::RecordBenchResult({"lsh", m, 0, lsh_stats.seconds,
+                            lsh_stats.candidate_pairs,
+                            static_cast<double>(lsh_stats.output_pairs)});
 }
 
 }  // namespace

@@ -265,19 +265,18 @@ class Repl {
 
   void Solve(const std::string& solver_name) {
     PHOCUS_CHECK(budget_ > 0, "set a budget first");
-    PhocusSystem system(Need());  // copy: the corpus stays editable
     ArchiveOptions options;
     options.budget = budget_;
     options.representation.sparsify_tau = tau_;
     options.representation.exif_weight = exif_weight_;
     if (solver_name == "phocus") {
-      plan_ = system.PlanArchive(options);
+      plan_ = PlanCorpus(Need(), options);
     } else if (solver_name == "nr") {
       GreedyNoRedundancySolver solver;
-      plan_ = system.PlanArchiveWith(options, solver);
+      plan_ = PlanCorpus(Need(), options, solver);
     } else if (solver_name == "rand") {
       RandomAddSolver solver(1);
-      plan_ = system.PlanArchiveWith(options, solver);
+      plan_ = PlanCorpus(Need(), options, solver);
     } else {
       std::printf("unknown solver '%s' (phocus|nr|rand)\n", solver_name.c_str());
       return;

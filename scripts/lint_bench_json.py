@@ -5,8 +5,9 @@ Every BENCH_*.json at the repo root must:
   * parse as JSON,
   * declare format == "phocus-bench" and a non-empty bench name,
   * carry the meta block bench_support stamps ({isa, threads_env, compiler,
-    fixture}, all strings, isa one of the known kernel tables, fixture not
-    left at "unspecified"),
+    fixture, command}, all strings, isa one of the known kernel tables,
+    fixture not left at "unspecified", command — how to regenerate the
+    file — not empty),
   * contain a non-empty "results" or "kernel_results" array whose rows have
     the stable schema fields.
 
@@ -61,9 +62,11 @@ def lint_file(path):
     if not isinstance(meta, dict):
         err("missing meta block (regenerate with a current binary)")
     else:
-        for key in ("isa", "threads_env", "compiler", "fixture"):
+        for key in ("isa", "threads_env", "compiler", "fixture", "command"):
             if not isinstance(meta.get(key), str):
                 err("meta.%s missing or not a string" % key)
+        if meta.get("command") == "":
+            err("meta.command empty — regenerate with a current binary")
         if meta.get("isa") not in KNOWN_ISAS:
             err("meta.isa %r not one of %s" % (meta.get("isa"),
                                                sorted(KNOWN_ISAS)))

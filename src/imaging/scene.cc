@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "imaging/ops.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 
 namespace phocus {
@@ -32,12 +33,7 @@ Rgb HsvToRgb(float h, float s, float v) {
 
 SceneStyle StyleForCategory(const std::string& category) {
   // Hash the name into a deterministic style seed.
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
-  for (char c : category) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  Rng rng(hash);
+  Rng rng(Fnv1a64(category, kFnv64TruncatedBasis));
   SceneStyle style;
   style.category = category;
   style.base_hue = static_cast<float>(rng.Uniform(0.0, 360.0));

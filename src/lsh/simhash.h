@@ -28,9 +28,8 @@ class SimHasher {
   SimHashSignature Signature(const Embedding& vector) const;
 
   /// In-place variant: resizes `*signature` to words_per_signature() and
-  /// overwrites it. Lets batch hashers (SimHashIndex ingest, the serial
-  /// pair scan) reuse preallocated slots instead of paying one heap
-  /// allocation per vector.
+  /// overwrites it. Lets batch hashers (the LSH pair scan) reuse
+  /// preallocated slots instead of paying one heap allocation per vector.
   void SignatureInto(const Embedding& vector, SimHashSignature* signature) const;
 
   int num_bits() const { return num_bits_; }

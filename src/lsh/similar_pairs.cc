@@ -6,11 +6,9 @@
 #include <unordered_set>
 
 #include "embedding/pair_sweep.h"
-#include "lsh/simhash_index.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace phocus {
 
@@ -83,23 +81,6 @@ std::vector<SimilarPair> LshPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau,
                                        const LshPairFinderOptions& options,
                                        PairSearchStats* stats) {
-  Stopwatch timer;
-  const std::size_t m = vectors.size();
-  if (m < 2) {
-    if (stats != nullptr) *stats = {m, 0, 0, timer.ElapsedSeconds()};
-    return {};
-  }
-  SimHashIndex index(vectors[0].size(), options);
-  index.Add(vectors);
-  std::vector<SimilarPair> pairs = index.PairsAbove(vectors, tau, stats);
-  // PairsAbove times only the probe; report the full build+probe wall time.
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return pairs;
-}
-
-std::vector<SimilarPair> LshPairsAboveSerial(
-    const std::vector<Embedding>& vectors, double tau,
-    const LshPairFinderOptions& options, PairSearchStats* stats) {
   telemetry::TraceSpan span("lsh.pairs_above");
   std::vector<SimilarPair> pairs;
   const std::size_t m = vectors.size();

@@ -27,11 +27,6 @@ struct LshPairFinderOptions {
   int num_bits = 128;      ///< total signature bits
   int bands = 16;          ///< bands; rows per band = num_bits / bands
   std::uint64_t seed = 0x5151515151ULL;
-  /// Candidate-dedup shards for the parallel verification sweep; 0 = auto
-  /// (scales with the global thread pool). Never affects the result — pair
-  /// ownership is a pure function of the smaller pair id — only how the
-  /// dedup/verify work is partitioned.
-  int num_shards = 0;
 };
 
 /// Instrumentation returned by the finders (fed to the ablation bench).
@@ -52,22 +47,13 @@ std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
 
 /// LSH-accelerated search. With well-chosen (num_bits, bands) this finds,
 /// with high probability, almost all pairs with cosine >= tau while
-/// verifying far fewer than m² candidates. Runs on the parallel sharded
-/// SimHashIndex engine (see lsh/simhash_index.h); output and stats (modulo
-/// `seconds`) are bit-identical to LshPairsAboveSerial for any
-/// PHOCUS_NUM_THREADS and shard count.
+/// verifying far fewer than m² candidates. Single-threaded; each candidate is
+/// verified with the exact CosineSimilarity, and pairs come back in
+/// (first asc, second asc) order.
 std::vector<SimilarPair> LshPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau,
                                        const LshPairFinderOptions& options = {},
                                        PairSearchStats* stats = nullptr);
-
-/// The single-threaded reference implementation of LshPairsAbove — the
-/// semantic spec the parallel engine is tested against (and the baseline
-/// BENCH_lsh.json measures speedup over). `options.num_shards` is ignored.
-std::vector<SimilarPair> LshPairsAboveSerial(
-    const std::vector<Embedding>& vectors, double tau,
-    const LshPairFinderOptions& options = {},
-    PairSearchStats* stats = nullptr);
 
 /// Picks a bands count whose per-band collision threshold
 /// (1 − θ/π)^{rows} ≈ 50% at cosine = tau, given the bit budget. Exposed so
@@ -76,7 +62,7 @@ int SuggestBands(int num_bits, double tau);
 
 namespace internal {
 /// Flushes pair-search accounting into the telemetry registry (shared by
-/// the exhaustive, serial-LSH, and indexed-LSH finders).
+/// the exhaustive and LSH finders).
 void ReportPairSearch(telemetry::TraceSpan& span, std::size_t vectors,
                       std::size_t candidates, std::size_t outputs);
 }  // namespace internal

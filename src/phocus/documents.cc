@@ -7,6 +7,7 @@
 #include "embedding/vector_ops.h"
 #include "index/search_engine.h"
 #include "index/tokenizer.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -23,12 +24,8 @@ struct TermSpace {
   std::size_t AxisOf(const std::string& term) const {
     auto it = dedicated.find(term);
     if (it != dedicated.end()) return it->second;
-    std::uint64_t h = 1469598103934665603ULL;
-    for (char c : term) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h % dim);
+    return static_cast<std::size_t>(Fnv1a64(term, kFnv64TruncatedBasis) %
+                                    dim);
   }
 };
 

@@ -115,9 +115,8 @@ IncrementalArchiver::IncrementalArchiver(IncrementalOptions options)
 const ArchivePlan& IncrementalArchiver::Initialize(Corpus corpus) {
   PHOCUS_CHECK(!initialized_, "Initialize called twice");
   corpus_ = std::move(corpus);
-  PhocusSystem system(corpus_);
   plan_ = std::make_shared<const ArchivePlan>(
-      system.PlanArchive(options_.archive));
+      PlanCorpus(corpus_, options_.archive));
   initialized_ = true;
   return *plan_;
 }

@@ -9,6 +9,7 @@
 #include "telemetry/metrics.h"
 #include "util/binary_io.h"
 #include "util/failpoint.h"
+#include "util/fnv.h"
 #include "util/json.h"  // ReadFile/WriteFile/SyncFile
 #include "util/logging.h"
 
@@ -188,12 +189,7 @@ WalCheckpoint DecodeCheckpointBody(std::string_view body,
 }  // namespace
 
 std::uint64_t WalChecksum(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return Fnv1a64(bytes, kFnv64Basis);
 }
 
 IngestWal::IngestWal(std::string directory, std::string session_id)

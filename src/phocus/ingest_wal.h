@@ -71,7 +71,8 @@
 
 namespace phocus {
 
-/// FNV-1a 64 over `bytes` — the WAL's record and checkpoint checksum.
+/// FNV-1a 64 with the standard basis (util/fnv.h) over `bytes` — the WAL's
+/// record and checkpoint checksum, and its base-corpus fingerprint.
 std::uint64_t WalChecksum(std::string_view bytes);
 
 /// Thrown by recovery when the on-disk WAL cannot belong to the recovering

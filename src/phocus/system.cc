@@ -19,17 +19,17 @@ RepresentationOptions ArchiveOptions::DefaultPhocusRepresentation() {
 
 PhocusSystem::PhocusSystem(Corpus corpus) : corpus_(std::move(corpus)) {}
 
-ArchivePlan PhocusSystem::PlanArchive(const ArchiveOptions& options) const {
+ArchivePlan PlanCorpus(const Corpus& corpus, const ArchiveOptions& options) {
   CelfSolver solver;
-  return PlanArchiveWith(options, solver);
+  return PlanCorpus(corpus, options, solver);
 }
 
-ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
-                                          Solver& solver) const {
+ArchivePlan PlanCorpus(const Corpus& corpus, const ArchiveOptions& options,
+                       Solver& solver) {
   PHOCUS_CHECK(options.budget > 0, "archive budget must be positive");
   auto& registry = telemetry::MetricsRegistry::Current();
   telemetry::TraceSpan root("system.plan_archive");
-  root.SetAttribute("photos", static_cast<std::uint64_t>(corpus_.photos.size()));
+  root.SetAttribute("photos", static_cast<std::uint64_t>(corpus.photos.size()));
   root.SetAttribute("budget", static_cast<std::uint64_t>(options.budget));
 
   double build_seconds = 0.0;
@@ -38,7 +38,7 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
         "system.stage.representation",
         &registry.GetHistogram("system.stage.representation_ns"));
     ParInstance built =
-        BuildInstance(corpus_, options.budget, options.representation);
+        BuildInstance(corpus, options.budget, options.representation);
     built.Validate();
     // Eager-build before the solve stage: solvers fan probes across threads
     // and must find the index already constructed (contract in instance.h).
@@ -64,7 +64,7 @@ ArchivePlan PhocusSystem::PlanArchiveWith(const ArchiveOptions& options,
   root.SetAttribute("retained", static_cast<std::uint64_t>(plan.retained.size()));
   plan.trace = root.Close();
   PHOCUS_LOG(kDebug) << "plan_archive: retained " << plan.retained.size() << "/"
-                     << corpus_.photos.size() << " photos, score "
+                     << corpus.photos.size() << " photos, score "
                      << plan.score << ", certified "
                      << plan.online_bound.certified_ratio;
   return plan;

@@ -68,17 +68,29 @@ struct ArchivePlan {
   telemetry::SpanRecord trace;
 };
 
+/// Runs the full pipeline on `corpus`: representation → `solver` → reports.
+/// Reads the corpus in place; nothing of it outlives the call.
+ArchivePlan PlanCorpus(const Corpus& corpus, const ArchiveOptions& options,
+                       Solver& solver);
+
+/// PlanCorpus with Algorithm 1 (CELF) as the solver.
+ArchivePlan PlanCorpus(const Corpus& corpus, const ArchiveOptions& options);
+
 /// End-to-end facade owning the corpus.
 class PhocusSystem {
  public:
   explicit PhocusSystem(Corpus corpus);
 
   /// Runs the full pipeline: representation → Algorithm 1 → reports.
-  ArchivePlan PlanArchive(const ArchiveOptions& options) const;
+  ArchivePlan PlanArchive(const ArchiveOptions& options) const {
+    return PlanCorpus(corpus_, options);
+  }
 
   /// Runs the pipeline with a caller-supplied solver (baselines, exact).
   ArchivePlan PlanArchiveWith(const ArchiveOptions& options,
-                              Solver& solver) const;
+                              Solver& solver) const {
+    return PlanCorpus(corpus_, options, solver);
+  }
 
   const Corpus& corpus() const { return corpus_; }
 
@@ -89,7 +101,7 @@ class PhocusSystem {
 /// The plan record for a solver's `result` on `instance`: the feasibility
 /// check, retained/archived lists and bytes, score fraction, online bound
 /// (when `options` asks) and per-subset coverage rows. Every planner —
-/// PlanArchiveWith and the incremental replans — returns its plan from
+/// PlanCorpus and the incremental replans — returns its plan from
 /// here; the caller fills the timings and trace.
 ArchivePlan AssemblePlan(const ParInstance& instance, SolverResult result,
                          const ArchiveOptions& options);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/fnv.h"
 #include "util/strings.h"
 
 namespace phocus {
@@ -161,12 +162,7 @@ std::string CanonicalOptionsKey(const ArchiveOptions& options) {
 }
 
 std::uint64_t Fnv64(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return Fnv1a64(bytes, kFnv64Basis);
 }
 
 }  // namespace service

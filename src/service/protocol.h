@@ -129,7 +129,8 @@ Json PlanToJson(const ArchivePlan& plan);
 /// key. Two option structs with equal effective values map to equal keys.
 std::string CanonicalOptionsKey(const ArchiveOptions& options);
 
-/// FNV-1a 64 over arbitrary bytes (corpus fingerprinting).
+/// FNV-1a 64 with the standard basis (util/fnv.h) over arbitrary bytes:
+/// corpus fingerprints, plan-cache key hashes, the hash ring.
 std::uint64_t Fnv64(std::string_view bytes);
 
 }  // namespace service

@@ -21,7 +21,8 @@
 /// (FrameServer: one TCP listener, one thread per connection reading
 /// length-prefixed JSON requests); an admitted request runs on its connection
 /// thread once one of `num_workers` slots is free, and its solve fans out on
-/// ThreadPool::Global(). Between the core and PhocusSystem sit:
+/// ThreadPool::Global(). Between the core and the planner (PlanCorpus and the
+/// incremental archiver) sit:
 ///
 ///  - SessionManager: per-client corpus + incremental state, fine-grained
 ///    locks (requests against different sessions run concurrently),

@@ -41,30 +41,17 @@ Json Session::Describe() {
   return out;
 }
 
-ArchivePlan Session::SolveLocked(const ArchiveOptions& options) {
-  if (system_ == nullptr) {
-    system_ = std::make_unique<PhocusSystem>(CorpusLocked());
+std::uint64_t Session::FingerprintLocked() {
+  if (!fingerprint_.has_value()) {
+    fingerprint_ = Fnv64(EncodeCorpus(CorpusLocked()));
   }
-  return system_->PlanArchive(options);
-}
-
-std::string Session::FingerprintLocked() {
-  if (fingerprint_.empty()) {
-    fingerprint_ = StrFormat(
-        "%016llx",
-        static_cast<unsigned long long>(Fnv64(EncodeCorpus(CorpusLocked()))));
-  }
-  return fingerprint_;
-}
-
-void Session::InvalidateLocked() {
-  system_.reset();
-  fingerprint_.clear();
+  return *fingerprint_;
 }
 
 std::string Session::Fingerprint() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return FingerprintLocked();
+  return StrFormat("%016llx",
+                   static_cast<unsigned long long>(FingerprintLocked()));
 }
 
 Session::PlanOutcome Session::Plan(const ArchiveOptions& options,
@@ -72,7 +59,9 @@ Session::PlanOutcome Session::Plan(const ArchiveOptions& options,
   std::lock_guard<std::mutex> lock(mutex_);
   PHOCUS_CHECK(options.budget > 0, "plan needs a positive budget");
   const std::string key =
-      FingerprintLocked() + "|" + CanonicalOptionsKey(options);
+      StrFormat("%016llx|",
+                static_cast<unsigned long long>(FingerprintLocked())) +
+      CanonicalOptionsKey(options);
   PlanOutcome outcome;
   {
     // Under phocusd's per-request trace sink these become children of the
@@ -87,7 +76,8 @@ Session::PlanOutcome Session::Plan(const ArchiveOptions& options,
     outcome.from_cache = true;
   } else {
     telemetry::TraceSpan span("service.session.solve");
-    outcome.plan = std::make_shared<const ArchivePlan>(SolveLocked(options));
+    outcome.plan = std::make_shared<const ArchivePlan>(
+        PlanCorpus(CorpusLocked(), options));
     if (cache != nullptr) cache->Insert(key, outcome.plan);
   }
   last_plan_ = outcome.plan;
@@ -132,8 +122,11 @@ bool Session::HasRecoverableWalLocked() const {
 
 StreamingArchiver& Session::StreamerLocked(const ArchiveOptions& options) {
   if (streamer_ != nullptr) return *streamer_;
+  // The WAL's base fingerprint is the session fingerprint of the base corpus
+  // (WalChecksum and Fnv64 are the same FNV-1a), so a planned session does
+  // not encode its corpus again.
   const std::uint64_t base_fingerprint =
-      wal_dir_.empty() ? 0 : WalChecksum(EncodeCorpus(corpus_));
+      wal_dir_.empty() ? 0 : FingerprintLocked();
   if (HasRecoverableWalLocked()) {
     // A WAL for this session survived a restart: rebuild the streamer from
     // it instead of solving from scratch. The fingerprint over this
@@ -155,7 +148,7 @@ StreamingArchiver& Session::StreamerLocked(const ArchiveOptions& options) {
       IngestWal(wal_dir_, id_).Quarantine();
     }
     if (streamer_ != nullptr) {
-      InvalidateLocked();  // the recovered corpus has grown past the base
+      fingerprint_.reset();  // the recovered corpus has grown past the base
       last_plan_ = streamer_->shared_plan();
       last_options_ = streamer_->archiver().options().archive;
     }
@@ -190,10 +183,10 @@ Session::IngestResult Session::StreamLocked(
   try {
     result.outcome = call(*streamer_);
   } catch (...) {
-    InvalidateLocked();
+    fingerprint_.reset();
     throw;
   }
-  if (result.outcome.absorbed) InvalidateLocked();
+  if (result.outcome.absorbed) fingerprint_.reset();
   if (result.outcome.replanned) {
     result.plan = streamer_->shared_plan();
     last_plan_ = result.plan;
@@ -255,7 +248,7 @@ Session::IngestResult Session::Ingest(std::size_t count, std::uint64_t seed,
   policy.now_ms = std::move(now_ms);
   // A queue_photos shrink drains the queue right here, growing the corpus
   // (and perhaps replanning): like any streamer call it must invalidate the
-  // cached fingerprint and solver, or the next `plan` serves a stale hit.
+  // cached fingerprint, or the next `plan` serves a stale hit.
   StreamLocked([&](StreamingArchiver& target) {
     return target.set_policy(policy);
   });

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,9 +18,10 @@
 
 /// \file session.h
 /// Per-client serving state for phocusd. A Session answers repeated
-/// questions about one corpus: a PhocusSystem facade (rebuilt lazily after
-/// mutations), the most recent plan (for coverage/explain/archive_to_vault),
-/// and a cached corpus fingerprint feeding the server-wide PlanCache.
+/// questions about one corpus, which it holds once and plans in place.
+/// Beside it the session keeps the most recent plan (for
+/// coverage/explain/archive_to_vault) and a cached corpus fingerprint that
+/// keys the server-wide PlanCache and doubles as the WAL's base fingerprint.
 ///
 /// The session owns its base corpus until the first streaming touch
 /// (`update`, `set_budget`, `ingest`, `ingest_flush`) creates — or recovers
@@ -55,8 +57,9 @@ class Session {
     bool from_cache = false;
   };
 
-  /// Full PlanArchive under `options`, consulting (and feeding) `cache`.
-  /// A cache hit is served without touching the solver.
+  /// Full PlanCorpus of the session's corpus under `options`, consulting
+  /// (and feeding) `cache`. A cache hit is served without touching the
+  /// solver; a miss plans the corpus in place and keeps only the plan.
   PlanOutcome Plan(const ArchiveOptions& options, PlanCache* cache);
 
   /// Streaming-ingest policy knobs carried on each `ingest` request (see
@@ -135,9 +138,8 @@ class Session {
  private:
   /// The base corpus before the first streaming touch, the streamer's after.
   const Corpus& CorpusLocked() const;
-  ArchivePlan SolveLocked(const ArchiveOptions& options);
-  std::string FingerprintLocked();
-  void InvalidateLocked();
+  /// FNV-1a over EncodeCorpus(CorpusLocked()), cached until the corpus grows.
+  std::uint64_t FingerprintLocked();
   /// True when wal_dir is set and a WAL checkpoint for this id is on disk.
   bool HasRecoverableWalLocked() const;
   /// Lazily creates the streaming archiver (initial solve included); the
@@ -146,7 +148,7 @@ class Session {
   /// queue tail) or attaches a fresh one.
   StreamingArchiver& StreamerLocked(const ArchiveOptions& options);
   /// The post-call sync of the streaming verbs: runs `call`, drops the
-  /// caches of a grown corpus (also on a throw — a failed commit may have
+  /// fingerprint of a grown corpus (also on a throw — a failed commit may have
   /// absorbed journaled arrivals) and publishes a replanned plan.
   IngestResult StreamLocked(
       const std::function<IngestOutcome(StreamingArchiver&)>& call);
@@ -155,11 +157,10 @@ class Session {
   const std::string wal_dir_;  ///< empty = ingest durability off
   std::mutex mutex_;
   Corpus corpus_;  ///< the base corpus; released once streamer_ owns it
-  std::unique_ptr<PhocusSystem> system_;  // lazily (re)built from the corpus
   std::unique_ptr<StreamingArchiver> streamer_;  ///< from the first touch
   std::shared_ptr<const ArchivePlan> last_plan_;
   ArchiveOptions last_options_;
-  std::string fingerprint_;  // empty = stale
+  std::optional<std::uint64_t> fingerprint_;  ///< empty = stale
 };
 
 /// Thread-safe registry of live sessions.

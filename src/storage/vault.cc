@@ -5,6 +5,7 @@
 
 #include "telemetry/metrics.h"
 #include "util/failpoint.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/lzss.h"
@@ -15,12 +16,8 @@ namespace phocus {
 namespace fs = std::filesystem;
 
 std::string ArchiveVault::HashPayload(std::string_view payload) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
-  for (char c : payload) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return StrFormat("%016llx", static_cast<unsigned long long>(hash));
+  return StrFormat("%016llx", static_cast<unsigned long long>(Fnv1a64(
+                                  payload, kFnv64TruncatedBasis)));
 }
 
 ArchiveVault::ArchiveVault(std::string directory)

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -32,12 +33,7 @@ namespace {
 /// failpoint draws from its own deterministic RNG stream regardless of the
 /// order points are armed or hit.
 std::uint64_t NameHash(std::string_view name) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (char c : name) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return Fnv1a64(name, kFnv64TruncatedBasis);
 }
 
 struct Entry {

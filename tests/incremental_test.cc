@@ -129,8 +129,7 @@ TEST(IncrementalTest, TracksAFreshSolveClosely) {
       archiver.AddPhotos(stream.new_photos, stream.new_subsets);
 
   // Fresh from-scratch plan on the merged corpus.
-  PhocusSystem system(archiver.corpus());
-  const ArchivePlan fresh = system.PlanArchive(options.archive);
+  const ArchivePlan fresh = PlanCorpus(archiver.corpus(), options.archive);
   EXPECT_GE(incremental.score, 0.95 * fresh.score)
       << "incremental drifted too far from the fresh solve";
 }

@@ -8,14 +8,14 @@
 #include "util/rng.h"
 
 /// \file lsh_determinism_main.cc
-/// Emits the full output of the parallel pair-search engines — every pair
-/// with its similarity as raw float bits, plus the deterministic
-/// PairSearchStats fields — on stdout. cmake/plan_determinism.cmake runs
-/// this binary under PHOCUS_NUM_THREADS=1, =4, and unset (the variable is
-/// read once per process at the first ThreadPool::Global() call, so each
+/// Emits the full output of both pair finders — every pair with its
+/// similarity as raw float bits, plus the deterministic PairSearchStats
+/// fields — on stdout. cmake/plan_determinism.cmake runs this binary under
+/// every kernel table × PHOCUS_NUM_THREADS=1, =4, and unset (the variable
+/// is read once per process at the first ThreadPool::Global() call, so each
 /// count needs its own process) and fails unless every run is
-/// byte-identical: the LSH engine's cross-thread-count determinism
-/// guarantee.
+/// byte-identical: the tiled AllPairsAbove sweep fans out over the pool,
+/// and LshPairsAbove's signatures go through the dispatched SimHash kernel.
 
 namespace {
 

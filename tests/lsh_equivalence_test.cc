@@ -6,19 +6,14 @@
 
 #include "embedding/vector_ops.h"
 #include "lsh/similar_pairs.h"
-#include "lsh/simhash_index.h"
-#include "util/failpoint.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 /// \file lsh_equivalence_test.cc
-/// The parallel sharded pair-search engine must be bit-identical to the
-/// serial reference: same pairs (ids and similarity bits), same
-/// deterministic stats, for any shard count — and an incrementally grown
-/// SimHashIndex must equal a from-scratch build.
-/// Cross-PHOCUS_NUM_THREADS determinism is covered by the lsh_determinism
-/// subprocess ctest (the pool size is fixed per process); these tests run
-/// on whatever pool this process has plus every shard layout.
+/// The tiled all-pairs sweep must be bit-identical to a plain serial
+/// upper-triangle loop: same pairs (ids and similarity bits) and the same
+/// deterministic stats. Cross-PHOCUS_NUM_THREADS determinism is covered by
+/// the lsh_determinism subprocess ctest (the pool size is fixed per
+/// process). Also the SuggestBands property grid.
 
 namespace phocus {
 namespace {
@@ -56,32 +51,6 @@ void ExpectIdenticalPairs(const std::vector<SimilarPair>& got,
   }
 }
 
-TEST(LshEquivalenceTest, ParallelMatchesSerialAcrossShardCounts) {
-  const auto vectors = MakeClusteredVectors(24, 14, 48, 0.08, 101);
-  const double tau = 0.8;
-  LshPairFinderOptions options;
-  options.num_bits = 256;
-  options.bands = SuggestBands(options.num_bits, tau);
-
-  PairSearchStats serial_stats;
-  const std::vector<SimilarPair> serial =
-      LshPairsAboveSerial(vectors, tau, options, &serial_stats);
-  ASSERT_GT(serial.size(), 0u);
-
-  for (int shards : {0, 1, 2, 3, 7, 16, 64, 1024}) {
-    LshPairFinderOptions sharded = options;
-    sharded.num_shards = shards;
-    PairSearchStats stats;
-    const std::vector<SimilarPair> parallel =
-        LshPairsAbove(vectors, tau, sharded, &stats);
-    SCOPED_TRACE("num_shards=" + std::to_string(shards));
-    ExpectIdenticalPairs(parallel, serial);
-    EXPECT_EQ(stats.vectors, serial_stats.vectors);
-    EXPECT_EQ(stats.candidate_pairs, serial_stats.candidate_pairs);
-    EXPECT_EQ(stats.output_pairs, serial_stats.output_pairs);
-  }
-}
-
 TEST(LshEquivalenceTest, AllPairsTiledMatchesSerialSweep) {
   const auto vectors = MakeClusteredVectors(9, 13, 32, 0.2, 202);
   const double tau = 0.7;
@@ -107,57 +76,6 @@ TEST(LshEquivalenceTest, AllPairsTiledMatchesSerialSweep) {
   EXPECT_EQ(stats.output_pairs, serial.size());
 }
 
-TEST(SimHashIndexTest, IncrementalExtensionMatchesFromScratch) {
-  const auto vectors = MakeClusteredVectors(20, 15, 40, 0.1, 303);
-  const double tau = 0.75;
-  LshPairFinderOptions options;
-  options.num_bits = 128;
-  options.bands = SuggestBands(options.num_bits, tau);
-
-  SimHashIndex scratch(vectors[0].size(), options);
-  scratch.Add(vectors);
-  PairSearchStats scratch_stats;
-  const std::vector<SimilarPair> scratch_pairs =
-      scratch.PairsAbove(vectors, tau, &scratch_stats);
-  ASSERT_GT(scratch_pairs.size(), 0u);
-
-  // Grow the same index in three batches; the final index must answer
-  // identically.
-  SimHashIndex grown(vectors[0].size(), options);
-  const std::size_t cut1 = vectors.size() / 3;
-  const std::size_t cut2 = 2 * vectors.size() / 3;
-  grown.Add({vectors.begin(), vectors.begin() + cut1});
-  grown.Add({vectors.begin(), vectors.begin() + cut2});
-  grown.Add(vectors);
-  EXPECT_EQ(grown.size(), vectors.size());
-  PairSearchStats grown_stats;
-  const std::vector<SimilarPair> grown_pairs =
-      grown.PairsAbove(vectors, tau, &grown_stats);
-  ExpectIdenticalPairs(grown_pairs, scratch_pairs);
-  EXPECT_EQ(grown_stats.candidate_pairs, scratch_stats.candidate_pairs);
-}
-
-TEST(SimHashIndexTest, GuardsMisuse) {
-  LshPairFinderOptions options;
-  options.num_bits = 100;
-  options.bands = 7;  // does not divide
-  EXPECT_THROW(SimHashIndex(16, options), CheckFailure);
-
-  LshPairFinderOptions good;
-  good.num_bits = 128;
-  good.bands = 16;
-  SimHashIndex index(8, good);
-  const auto vectors = MakeClusteredVectors(2, 4, 8, 0.2, 505);
-  index.Add(vectors);
-  // Shrinking the indexed set is a contract violation.
-  EXPECT_THROW(index.Add({vectors.begin(), vectors.begin() + 2}),
-               CheckFailure);
-  // PairsAbove needs the full indexed set for verification.
-  EXPECT_THROW(
-      index.PairsAbove({vectors.begin(), vectors.begin() + 3}, 0.5),
-      CheckFailure);
-}
-
 TEST(SuggestBandsTest, PropertyGrid) {
   for (int bits : {32, 64, 96, 128, 256, 512}) {
     int previous_bands = bits + 1;
@@ -174,20 +92,6 @@ TEST(SuggestBandsTest, PropertyGrid) {
       previous_bands = bands;
     }
   }
-}
-
-TEST(LshFailpointTest, BucketizeAndVerifyFailpointsFire) {
-  const auto vectors = MakeClusteredVectors(4, 8, 16, 0.1, 606);
-  {
-    failpoint::ScopedFailpoint arm("lsh.bucketize", "error");
-    EXPECT_THROW(LshPairsAbove(vectors, 0.8), failpoint::InjectedFault);
-  }
-  {
-    failpoint::ScopedFailpoint arm("lsh.verify", "error");
-    EXPECT_THROW(LshPairsAbove(vectors, 0.8), failpoint::InjectedFault);
-  }
-  // Disarmed again: the search works.
-  EXPECT_NO_THROW(LshPairsAbove(vectors, 0.8));
 }
 
 }  // namespace

@@ -8,11 +8,11 @@
 #include "core/objective.h"
 #include "datagen/openimages.h"
 #include "imaging/exif.h"
+#include "kernels/kernels.h"
 #include "phocus/instance_io.h"
 #include "phocus/representation.h"
 #include "phocus/system.h"
 #include "service/protocol.h"
-#include "telemetry/metrics.h"
 #include "tests/test_support.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -168,9 +168,8 @@ Corpus OracleCorpus() {
 
 TEST(RepresentationOracleTest, SparseRowsEqualThresholdedDenseMatrix) {
   const Corpus corpus = OracleCorpus();
-  auto& signatures = telemetry::MetricsRegistry::Current().GetCounter(
-      "lsh.signatures_computed");
-  const std::uint64_t signatures_before = signatures.value();
+  kernels::ResetOpCounts();
+  kernels::SetOpCountingEnabled(true);
   std::size_t nonempty = 0;
   for (const bool context_normalize : {true, false}) {
     for (const double exif_weight : {0.0, 0.3}) {
@@ -197,9 +196,10 @@ TEST(RepresentationOracleTest, SparseRowsEqualThresholdedDenseMatrix) {
       }
     }
   }
+  kernels::SetOpCountingEnabled(false);
   // The grid is not vacuous, and no path hashes (the sweep is exact).
   EXPECT_GE(nonempty, 40u);
-  EXPECT_EQ(signatures.value(), signatures_before);
+  EXPECT_EQ(kernels::SnapshotOpCounts().simhash_macs, 0u);
 }
 
 TEST(RepresentationOracleTest, PlanBytesEqualTheDenseThresholdedInstances) {

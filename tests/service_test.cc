@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -13,6 +16,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "service/session.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -604,6 +608,48 @@ TEST_F(ServiceTest, DebugEndpointsAreOffByDefault) {
   } catch (const ServiceError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kUnknownEndpoint);
   }
+}
+
+/// Live heap as phocus_bench's `heap_mb` reads it.
+std::int64_t LiveHeapBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+}
+
+TEST(SessionHeapTest, PlanKeepsNoSecondCopyOfTheCorpus) {
+  OpenImagesOptions generate;
+  generate.num_photos = 600;
+  generate.seed = 31;
+  const Corpus corpus = GenerateOpenImagesCorpus(generate);
+  ArchiveOptions options;
+  options.budget = corpus.TotalBytes() / 4;
+
+  // Warm-up: registries, histograms, the thread pool and the trace
+  // collector reach their steady size on a first session's plan.
+  Session warm("s-warm", corpus);
+  warm.Plan(options, nullptr);
+
+  std::int64_t before = LiveHeapBytes();
+  const ArchivePlan own = PlanCorpus(corpus, options);
+  const std::int64_t plan_bytes = LiveHeapBytes() - before;
+
+  before = LiveHeapBytes();
+  Corpus copy = corpus;
+  const std::int64_t copy_bytes = LiveHeapBytes() - before;
+  if (copy_bytes <= 0) {
+    GTEST_SKIP() << "this allocator does not report live heap via mallinfo2";
+  }
+  ASSERT_GE(copy_bytes, 4 * plan_bytes)
+      << "the corpus must dwarf the plan for the bound to mean anything";
+
+  Session second("s-second", std::move(copy));  // moves, allocates no copy
+  before = LiveHeapBytes();
+  const Session::PlanOutcome outcome = second.Plan(options, nullptr);
+  const std::int64_t growth = LiveHeapBytes() - before;
+  EXPECT_EQ(PlanToJson(*outcome.plan).Dump(), PlanToJson(own).Dump());
+  EXPECT_LT(growth, copy_bytes / 2)
+      << "a planned session holds more than its corpus and plan (copy "
+      << copy_bytes << " B, plan " << plan_bytes << " B)";
 }
 
 }  // namespace
