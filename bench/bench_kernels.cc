@@ -36,6 +36,7 @@ namespace {
 // work_per_call numbers — regenerate BENCH_kernels.json if you do.
 constexpr std::size_t kDim = 160;
 constexpr std::size_t kBits = 256;
+constexpr std::size_t kDotRows = 64;  // the pair sweep's block; <= kBits
 constexpr std::size_t kGainN = 4096;
 constexpr std::size_t kArenaN = 8192;
 constexpr std::size_t kHammingWords = 4;
@@ -116,49 +117,59 @@ double TimeOp(const std::string& op, const char* isa, std::size_t calls,
 std::vector<double> RunSuite(const kernels::KernelTable& table,
                              const Fixture& f,
                              const std::vector<double>& scalar_walls) {
-  auto prior = [&](std::size_t i) {
-    return scalar_walls.empty() ? 0.0 : scalar_walls[i];
-  };
   std::vector<double> walls;
+  // The scalar wall of the op about to be timed (ops run in suite order).
+  auto prior = [&] {
+    return scalar_walls.empty() ? 0.0 : scalar_walls[walls.size()];
+  };
   std::vector<float> best_copy = f.best;
+  double dots[kDotRows];
   std::vector<std::uint64_t> sig(kBits / 64);
   float dct_out[64];
   std::int32_t quant_out[64];
 
-  walls.push_back(TimeOp("dot", table.name, 200000, kDim, prior(0), [&] {
+  walls.push_back(TimeOp("dot", table.name, 200000, kDim, prior(), [&] {
     g_sink += table.dot(f.vec_a.data(), f.vec_b.data(), kDim);
   }));
+  // One sweep block: a vector against kDotRows contiguous rows, as many
+  // elements in all as the dot row above.
+  walls.push_back(TimeOp("dot_rows", table.name, 200000 / kDotRows,
+                         kDotRows * kDim, prior(), [&] {
+                           table.dot_rows(f.vec_a.data(), f.planes.data(),
+                                          kDotRows, kDim, dots);
+                           g_sink += dots[kDotRows - 1];
+                         }));
   walls.push_back(TimeOp(
-      "simhash_signature", table.name, 2000, kBits * kDim, prior(1), [&] {
+      "simhash_signature", table.name, 2000, kBits * kDim, prior(), [&] {
         table.simhash_signature(f.planes.data(), kBits, f.vec_a.data(), kDim,
                                 sig.data());
         g_sink += static_cast<double>(sig[0] & 1);
       }));
-  walls.push_back(TimeOp("gain_scan", table.name, 20000, kGainN, prior(2), [&] {
+  walls.push_back(TimeOp("gain_scan", table.name, 20000, kGainN, prior(), [&] {
     g_sink += table.gain_scan(f.sim.data(), f.rel.data(), f.best.data(),
                               kGainN);
   }));
   walls.push_back(
-      TimeOp("gain_scan_sparse", table.name, 20000, kGainN, prior(3), [&] {
+      TimeOp("gain_scan_sparse", table.name, 20000, kGainN, prior(), [&] {
         g_sink += table.gain_scan_sparse(f.idx.data(), f.sim.data(), kGainN,
                                          f.rel.data(), f.best.data());
       }));
   walls.push_back(
-      TimeOp("gain_update", table.name, 20000, kGainN, prior(4), [&] {
+      TimeOp("gain_update", table.name, 20000, kGainN, prior(), [&] {
         g_sink += table.gain_update(f.sim.data(), f.rel.data(),
                                     best_copy.data(), kGainN);
       }));
-  walls.push_back(TimeOp("dct8x8", table.name, 200000, 1, prior(5), [&] {
+  walls.push_back(TimeOp("dct8x8", table.name, 200000, 1, prior(), [&] {
     table.dct8x8(f.dct_in.data(), dct_out);
     g_sink += dct_out[0];
   }));
   walls.push_back(
-      TimeOp("quantize_block", table.name, 200000, 1, prior(6), [&] {
+      TimeOp("quantize_block", table.name, 200000, 1, prior(), [&] {
         table.quantize_block(f.dct_in.data(), f.qtab.data(), quant_out);
         g_sink += quant_out[0];
       }));
   walls.push_back(
-      TimeOp("hamming", table.name, 2000000, kHammingWords, prior(7), [&] {
+      TimeOp("hamming", table.name, 2000000, kHammingWords, prior(), [&] {
         g_sink += table.hamming(f.sig_a.data(), f.sig_b.data(), kHammingWords);
       }));
   return walls;

@@ -97,10 +97,9 @@ std::vector<float> SubsetSimilarityMatrix(
 }
 
 SparseSimilarity SubsetSimilarityAbove(
-    const std::vector<Embedding>& vectors,
-    const std::vector<ExifMetadata>* exif, double tau,
-    const ContextSimilarityOptions& options) {
-  const std::size_t m = vectors.size();
+    const RowMatrix& vectors, const std::vector<ExifMetadata>* exif,
+    double tau, const ContextSimilarityOptions& options) {
+  const std::size_t m = vectors.rows;
   PHOCUS_CHECK(tau > 0.0 && tau <= 1.0, "tau must be in (0, 1]");
   PHOCUS_CHECK(options.exif_weight >= 0.0 && options.exif_weight <= 1.0,
                "exif_weight must be in [0, 1]");

@@ -57,11 +57,11 @@ struct SparseSimilarity {
 /// without the dense matrix: one SweepPairs sweep yields the context's max
 /// pairwise distance and every pair that can reach τ after renormalizing
 /// (SIM ≤ 1 − d, since the max distance is at most 1), which are then
-/// rescaled with SubsetSimilarityMatrix's expressions. `vectors` and `exif`
-/// are the subset's own, indexed 0..m−1. Requires τ ∈ (0, 1] and
-/// exif_weight ∈ [0, 1].
+/// rescaled with SubsetSimilarityMatrix's expressions. `vectors` (one row
+/// per member) and `exif` are the subset's own, indexed 0..m−1. Requires
+/// τ ∈ (0, 1] and exif_weight ∈ [0, 1].
 SparseSimilarity SubsetSimilarityAbove(
-    const std::vector<Embedding>& vectors,
+    const RowMatrix& vectors,
     const std::vector<ExifMetadata>* exif, double tau,
     const ContextSimilarityOptions& options = {});
 

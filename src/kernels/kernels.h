@@ -37,6 +37,10 @@
 ///   - `Dot`/`SquaredNorm`: the double product of two floats is exact
 ///     (24-bit mantissas), so the AVX2 FMA rounds exactly once — the same
 ///     single rounding as the scalar `acc += double(a) * double(b)`.
+///   - `DotRows`: each output is its pair's `Dot`, bit for bit. The AVX2
+///     build takes four rows per pass but keeps every pair's own two
+///     accumulators, scalar tail and combine tree; batching only shares
+///     the loads of `a`.
 ///   - gain scans / `SquaredDistance`: the AVX2 build deliberately uses
 ///     separate multiply + add (no FMA), matching the scalar two-rounding
 ///     sequence per lane.
@@ -54,7 +58,9 @@
 /// bool so production paths pay a predictable branch only). The perf wall
 /// (`bench/bench_kernels.cc`, `kernels_perf_smoke`) enables them around a
 /// fixed fixture and enforces hard bounds: the counts depend only on the
-/// call sequence, never on ISA, threads, or machine speed.
+/// call sequence, never on ISA, threads, or machine speed. A batched op
+/// counts what its unbatched calls would: `DotRows` adds `count·n` to
+/// `dot_elems`, as `count` calls of `Dot` do.
 
 namespace phocus {
 namespace kernels {
@@ -71,6 +77,10 @@ struct KernelTable {
 
   /// Σ a[i]·b[i] in blocked double accumulation.
   double (*dot)(const float* a, const float* b, std::size_t n);
+  /// out[r] = dot(a, rows + r·n, n) for r < count: one vector against
+  /// `count` contiguous row-major rows.
+  void (*dot_rows)(const float* a, const float* rows, std::size_t count,
+                   std::size_t n, double* out);
   /// Σ a[i]² in blocked double accumulation.
   double (*squared_norm)(const float* a, std::size_t n);
   /// Σ (a[i]−b[i])² in blocked double accumulation.
@@ -154,7 +164,7 @@ const KernelTable& ResolveTable(const char* env_value);
 /// per signature; for DCT/quantize: 64-coefficient blocks; for hamming:
 /// 64-bit words).
 struct OpCounts {
-  std::uint64_t dot_elems = 0;      ///< dot + norms + distance + weighted_sum
+  std::uint64_t dot_elems = 0;      ///< dots + norms + distance + weighted_sum
   std::uint64_t scale_elems = 0;    ///< scale_inplace + scale_into
   std::uint64_t gain_elems = 0;     ///< all gain scan/update variants
   std::uint64_t simhash_macs = 0;   ///< signature multiply-accumulates
@@ -202,6 +212,14 @@ inline void Count(std::atomic<std::uint64_t>& cell, std::uint64_t n) {
 inline double Dot(const float* a, const float* b, std::size_t n) {
   internal::Count(internal::Cells().dot_elems, n);
   return Active().dot(a, b, n);
+}
+
+/// count·n elements: one `Dot` per row.
+inline void DotRows(const float* a, const float* rows, std::size_t count,
+                    std::size_t n, double* out) {
+  internal::Count(internal::Cells().dot_elems,
+                  static_cast<std::uint64_t>(count) * n);
+  Active().dot_rows(a, rows, count, n, out);
 }
 
 inline double SquaredNorm(const float* a, std::size_t n) {

@@ -21,6 +21,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace phocus {
 namespace kernels {
 namespace {
@@ -33,11 +35,29 @@ inline __m256d HighPd(__m256 v) {
   return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
 }
 
+/// Four floats widened straight from memory: no high-half extract, which
+/// the 4-row dot loop would otherwise pay once per row per chunk.
+inline __m256d LoadPd(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
 /// Spills the two 4-wide accumulators into the generic lane layout so the
 /// scalar tail and CombineLanes finish the reduction bit-identically.
 inline void SpillLanes(__m256d acc_a, __m256d acc_b, double lanes[8]) {
   _mm256_storeu_pd(lanes, acc_a);
   _mm256_storeu_pd(lanes + 4, acc_b);
+}
+
+/// Finishes one dot from its two accumulators: spill, scalar tail from
+/// `main`, combine.
+inline double FinishDot(__m256d acc_a, __m256d acc_b, const float* a,
+                        const float* b, std::size_t main, std::size_t n) {
+  double lanes[8];
+  SpillLanes(acc_a, acc_b, lanes);
+  for (std::size_t i = main; i < n; ++i) {
+    lanes[i % 8] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+  }
+  return generic::CombineLanes(lanes);
 }
 
 double DotAvx2(const float* a, const float* b, std::size_t n) {
@@ -51,12 +71,44 @@ double DotAvx2(const float* a, const float* b, std::size_t n) {
     acc_a = _mm256_fmadd_pd(LowPd(va), LowPd(vb), acc_a);
     acc_b = _mm256_fmadd_pd(HighPd(va), HighPd(vb), acc_b);
   }
-  double lanes[8];
-  SpillLanes(acc_a, acc_b, lanes);
-  for (std::size_t i = main; i < n; ++i) {
-    lanes[i % 8] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+  return FinishDot(acc_a, acc_b, a, b, main, n);
+}
+
+void DotRowsAvx2(const float* a, const float* rows, std::size_t count,
+                 std::size_t n, double* out) {
+  const std::size_t main = n & ~static_cast<std::size_t>(7);
+  // Four rows per pass: the widened chunk of `a` is shared by four pairs,
+  // and the eight independent accumulator chains keep the FMA pipes busy.
+  // Each pair keeps its own two accumulators, so every output is its
+  // DotAvx2 bit for bit.
+  std::size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* r0 = rows + (r + 0) * n;
+    const float* r1 = rows + (r + 1) * n;
+    const float* r2 = rows + (r + 2) * n;
+    const float* r3 = rows + (r + 3) * n;
+    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < main; i += 8) {
+      const __m256d vlo = LoadPd(a + i);
+      const __m256d vhi = LoadPd(a + i + 4);
+      a0 = _mm256_fmadd_pd(vlo, LoadPd(r0 + i), a0);
+      b0 = _mm256_fmadd_pd(vhi, LoadPd(r0 + i + 4), b0);
+      a1 = _mm256_fmadd_pd(vlo, LoadPd(r1 + i), a1);
+      b1 = _mm256_fmadd_pd(vhi, LoadPd(r1 + i + 4), b1);
+      a2 = _mm256_fmadd_pd(vlo, LoadPd(r2 + i), a2);
+      b2 = _mm256_fmadd_pd(vhi, LoadPd(r2 + i + 4), b2);
+      a3 = _mm256_fmadd_pd(vlo, LoadPd(r3 + i), a3);
+      b3 = _mm256_fmadd_pd(vhi, LoadPd(r3 + i + 4), b3);
+    }
+    out[r + 0] = FinishDot(a0, b0, a, r0, main, n);
+    out[r + 1] = FinishDot(a1, b1, a, r1, main, n);
+    out[r + 2] = FinishDot(a2, b2, a, r2, main, n);
+    out[r + 3] = FinishDot(a3, b3, a, r3, main, n);
   }
-  return generic::CombineLanes(lanes);
+  for (; r < count; ++r) out[r] = DotAvx2(a, rows + r * n, n);
 }
 
 double SquaredNormAvx2(const float* a, std::size_t n) {
@@ -270,67 +322,22 @@ double GainScanSparseAvx2(const std::uint32_t* idx, const float* val,
   return generic::CombineLanes(lanes);
 }
 
-/// Finishes one hyperplane row: spill, scalar tail, combine, sign bit.
-inline void FinishSimHashRow(__m256d acc_a, __m256d acc_b, const float* row,
-                             const float* vec, std::size_t main,
-                             std::size_t dim, std::size_t bit,
-                             std::uint64_t* out_words) {
-  double lanes[8];
-  SpillLanes(acc_a, acc_b, lanes);
-  for (std::size_t i = main; i < dim; ++i) {
-    lanes[i % 8] +=
-        static_cast<double>(row[i]) * static_cast<double>(vec[i]);
-  }
-  if (generic::CombineLanes(lanes) >= 0.0) {
-    out_words[bit / 64] |= 1ULL << (bit % 64);
-  }
-}
-
 void SimHashSignatureAvx2(const float* planes, std::size_t num_bits,
                           const float* vec, std::size_t dim,
                           std::uint64_t* out_words) {
+  // One DotRows batch per signature word. The products are exact, so
+  // dot(vec, row) is the generic dot(row, vec) bit for bit.
   const std::size_t words = (num_bits + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) out_words[w] = 0;
-  const std::size_t main = dim & ~static_cast<std::size_t>(7);
-
-  // Four hyperplane rows per pass: the vector load + widen is amortized
-  // across rows, and the eight accumulator chains keep the FMA pipes busy.
-  std::size_t bit = 0;
-  for (; bit + 4 <= num_bits; bit += 4) {
-    const float* r0 = planes + (bit + 0) * dim;
-    const float* r1 = planes + (bit + 1) * dim;
-    const float* r2 = planes + (bit + 2) * dim;
-    const float* r3 = planes + (bit + 3) * dim;
-    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < main; i += 8) {
-      const __m256 v = _mm256_loadu_ps(vec + i);
-      const __m256d vlo = LowPd(v);
-      const __m256d vhi = HighPd(v);
-      const __m256 p0 = _mm256_loadu_ps(r0 + i);
-      a0 = _mm256_fmadd_pd(LowPd(p0), vlo, a0);
-      b0 = _mm256_fmadd_pd(HighPd(p0), vhi, b0);
-      const __m256 p1 = _mm256_loadu_ps(r1 + i);
-      a1 = _mm256_fmadd_pd(LowPd(p1), vlo, a1);
-      b1 = _mm256_fmadd_pd(HighPd(p1), vhi, b1);
-      const __m256 p2 = _mm256_loadu_ps(r2 + i);
-      a2 = _mm256_fmadd_pd(LowPd(p2), vlo, a2);
-      b2 = _mm256_fmadd_pd(HighPd(p2), vhi, b2);
-      const __m256 p3 = _mm256_loadu_ps(r3 + i);
-      a3 = _mm256_fmadd_pd(LowPd(p3), vlo, a3);
-      b3 = _mm256_fmadd_pd(HighPd(p3), vhi, b3);
+  double dots[64];
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t first = w * 64;
+    const std::size_t bits = std::min<std::size_t>(64, num_bits - first);
+    DotRowsAvx2(vec, planes + first * dim, bits, dim, dots);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      if (dots[b] >= 0.0) word |= 1ULL << b;
     }
-    FinishSimHashRow(a0, b0, r0, vec, main, dim, bit + 0, out_words);
-    FinishSimHashRow(a1, b1, r1, vec, main, dim, bit + 1, out_words);
-    FinishSimHashRow(a2, b2, r2, vec, main, dim, bit + 2, out_words);
-    FinishSimHashRow(a3, b3, r3, vec, main, dim, bit + 3, out_words);
-  }
-  for (; bit < num_bits; ++bit) {
-    if (DotAvx2(planes + bit * dim, vec, dim) >= 0.0) {
-      out_words[bit / 64] |= 1ULL << (bit % 64);
-    }
+    out_words[w] = word;
   }
 }
 
@@ -396,6 +403,7 @@ const KernelTable& Avx2TableImpl() {
   static const KernelTable table = {
       "avx2",
       DotAvx2,
+      DotRowsAvx2,
       SquaredNormAvx2,
       SquaredDistanceAvx2,
       ScaleInPlaceAvx2,

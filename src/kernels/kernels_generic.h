@@ -40,6 +40,12 @@ static inline double DotImpl(const float* a, const float* b, std::size_t n) {
   return CombineLanes(lanes);
 }
 
+static inline void DotRowsImpl(const float* a, const float* rows,
+                               std::size_t count, std::size_t n,
+                               double* out) {
+  for (std::size_t r = 0; r < count; ++r) out[r] = DotImpl(a, rows + r * n, n);
+}
+
 static inline double SquaredNormImpl(const float* a, std::size_t n) {
   double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
   for (std::size_t i = 0; i < n; ++i) {

@@ -41,6 +41,7 @@ const KernelTable& ScalarTableImpl() {
   static const KernelTable table = {
       "scalar",
       generic::DotImpl,
+      generic::DotRowsImpl,
       generic::SquaredNormImpl,
       generic::SquaredDistanceImpl,
       generic::ScaleInPlaceImpl,

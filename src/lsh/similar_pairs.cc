@@ -29,9 +29,13 @@ void ReportPairSearch(telemetry::TraceSpan& span, std::size_t vectors,
 std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau, PairSearchStats* stats) {
   telemetry::TraceSpan span("lsh.all_pairs");
+  std::vector<float> buffer;
+  const RowMatrix matrix = GatherRows(
+      vectors.size(),
+      [&](std::size_t k) -> const Embedding& { return vectors[k]; }, buffer);
   const std::vector<std::vector<SimilarPair>> tiles =
       SweepPairs<std::vector<SimilarPair>>(
-          vectors, [tau](std::vector<SimilarPair>& out, std::size_t i,
+          matrix, [tau](std::vector<SimilarPair>& out, std::size_t i,
                          std::size_t j, double sim) {
             if (sim >= tau) {
               out.push_back({static_cast<std::uint32_t>(i),

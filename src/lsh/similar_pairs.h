@@ -39,8 +39,9 @@ struct PairSearchStats {
 
 /// Exhaustive O(m²) sweep (the §4.3 exact baseline): every pair with
 /// CosineSimilarity >= tau, bit for bit, in (i asc, j asc) order for any
-/// thread count. One SweepPairs call (embedding/pair_sweep.h), so each norm
-/// is computed once per call.
+/// thread count. The vectors are gathered once into one row-major matrix
+/// for a single SweepPairs call (embedding/pair_sweep.h), so each norm is
+/// computed once per call.
 std::vector<SimilarPair> AllPairsAbove(const std::vector<Embedding>& vectors,
                                        double tau,
                                        PairSearchStats* stats = nullptr);

@@ -9,33 +9,6 @@
 
 namespace phocus {
 
-namespace {
-
-/// Gathers per-subset local embedding/EXIF views so the similarity kernels
-/// operate on compact indices 0..m-1.
-struct SubsetView {
-  std::vector<Embedding> embeddings;
-  std::vector<ExifMetadata> exif;
-};
-
-SubsetView GatherView(const Corpus& corpus, const SubsetSpec& spec,
-                      bool with_exif) {
-  SubsetView view;
-  const std::size_t m = spec.members.size();
-  view.embeddings.reserve(m);
-  for (const PhotoId p : spec.members) {
-    PHOCUS_CHECK(p < corpus.photos.size(), "subset member out of range");
-    view.embeddings.push_back(corpus.photos[p].embedding);
-  }
-  if (with_exif) {
-    view.exif.reserve(m);
-    for (PhotoId p : spec.members) view.exif.push_back(corpus.photos[p].exif);
-  }
-  return view;
-}
-
-}  // namespace
-
 ParInstance BuildInstance(const Corpus& corpus, Cost budget,
                           const RepresentationOptions& options,
                           LshIndexCache* /*unused*/) {
@@ -56,6 +29,11 @@ ParInstance BuildInstance(const Corpus& corpus, Cost budget,
   std::size_t vectors = 0, candidates = 0, outputs = 0;
   if (sparsify) sweep.emplace("representation.sweep");
 
+  // Each subset's members are gathered into one row-major matrix, with
+  // one buffer reused across subsets: it only grows, so the build's block
+  // sizes stay stable under glibc's dynamic mmap threshold.
+  std::vector<float> rows;
+  std::vector<ExifMetadata> exif;
   for (const SubsetSpec& spec : corpus.subsets) {
     Subset subset;
     subset.name = spec.name;
@@ -63,17 +41,34 @@ ParInstance BuildInstance(const Corpus& corpus, Cost budget,
     subset.members = spec.members;
     subset.relevance = spec.relevance;
     const std::size_t m = spec.members.size();
-    SubsetView view = GatherView(corpus, spec, with_exif);
-    const std::vector<ExifMetadata>* exif = with_exif ? &view.exif : nullptr;
+    exif.clear();
+    for (const PhotoId p : spec.members) {
+      PHOCUS_CHECK(p < corpus.photos.size(), "subset member out of range");
+      if (with_exif) exif.push_back(corpus.photos[p].exif);
+    }
+    const std::vector<ExifMetadata>* subset_exif =
+        with_exif ? &exif : nullptr;
     if (!sparsify) {
+      // SubsetSimilarityMatrix reads Embedding vectors by local id.
+      std::vector<Embedding> embeddings;
+      embeddings.reserve(m);
+      for (const PhotoId p : spec.members) {
+        embeddings.push_back(corpus.photos[p].embedding);
+      }
       std::vector<std::uint32_t> local_ids(m);
       std::iota(local_ids.begin(), local_ids.end(), 0u);
       subset.sim_mode = Subset::SimMode::kDense;
-      subset.dense_sim = SubsetSimilarityMatrix(view.embeddings, exif,
+      subset.dense_sim = SubsetSimilarityMatrix(embeddings, subset_exif,
                                                 local_ids, sim_options);
     } else {
+      const RowMatrix matrix = GatherRows(
+          m,
+          [&](std::size_t k) -> const Embedding& {
+            return corpus.photos[spec.members[k]].embedding;
+          },
+          rows);
       SparseSimilarity sparse = SubsetSimilarityAbove(
-          view.embeddings, exif, options.sparsify_tau, sim_options);
+          matrix, subset_exif, options.sparsify_tau, sim_options);
       subset.sim_mode = Subset::SimMode::kSparse;
       subset.sparse_offsets = std::move(sparse.offsets);
       subset.sparse_indices = std::move(sparse.indices);

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "embedding/context.h"
 #include "embedding/descriptors.h"
+#include "embedding/pair_sweep.h"
 #include "embedding/pipeline.h"
 #include "embedding/projection.h"
 #include "embedding/vector_ops.h"
 #include "imaging/scene.h"
+#include "kernels/kernels.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -53,6 +59,77 @@ TEST(VectorOpsTest, AppendWeighted) {
   EXPECT_EQ(head.size(), 3u);
   EXPECT_FLOAT_EQ(head[1], 1.0f);
   EXPECT_FLOAT_EQ(head[2], 1.5f);
+}
+
+// ------------------------------------------------------- pair sweep ------
+
+/// Runs under PHOCUS_NUM_THREADS 1 and 4 too (pair_sweep_t1/_t4): the
+/// m = 130 sweep spans several tiles, which fan out on the global pool.
+TEST(PairSweepTest, VisitsEveryCosineBitForBitInOrder) {
+  using Visit = std::tuple<std::size_t, std::size_t, double>;
+  Rng rng(31);
+  for (std::size_t m : {2, 3, 5, 9, 130}) {
+    for (std::size_t d : {1, 8, 13, 160}) {
+      std::vector<Embedding> vectors(m, Embedding(d));
+      for (Embedding& v : vectors) {
+        for (float& x : v) x = static_cast<float>(rng.Normal());
+      }
+      // Zero rows, two of them adjacent, split the dot blocks: their pairs
+      // take the zero-norm rule and cost no dot.
+      if (m >= 5) {
+        for (std::size_t z : {std::size_t{1}, m / 2, m / 2 + 1}) {
+          vectors[z].assign(d, 0.0f);
+        }
+      }
+      std::vector<float> buffer;
+      const RowMatrix matrix = GatherRows(
+          m, [&](std::size_t k) -> const Embedding& { return vectors[k]; },
+          buffer);
+      kernels::ResetOpCounts();
+      kernels::SetOpCountingEnabled(true);
+      const std::vector<std::vector<Visit>> tiles =
+          SweepPairs<std::vector<Visit>>(
+              matrix, [](std::vector<Visit>& out, std::size_t i,
+                         std::size_t j, double cosine) {
+                out.emplace_back(i, j, cosine);
+              });
+      kernels::SetOpCountingEnabled(false);
+      const std::uint64_t dot_elems = kernels::SnapshotOpCounts().dot_elems;
+
+      std::vector<Visit> visits;
+      for (const std::vector<Visit>& tile : tiles) {
+        visits.insert(visits.end(), tile.begin(), tile.end());
+      }
+      std::size_t k = 0, nonzero_pairs = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = i + 1; j < m; ++j, ++k) {
+          ASSERT_LT(k, visits.size()) << "m=" << m << " d=" << d;
+          const auto [vi, vj, cosine] = visits[k];
+          ASSERT_EQ(i, vi) << "m=" << m << " d=" << d << " visit " << k;
+          ASSERT_EQ(j, vj) << "m=" << m << " d=" << d << " visit " << k;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                        CosineSimilarity(vectors[i], vectors[j])),
+                    std::bit_cast<std::uint64_t>(cosine))
+              << "m=" << m << " d=" << d << " pair " << i << "," << j;
+          if (Norm(vectors[i]) * Norm(vectors[j]) != 0.0) ++nonzero_pairs;
+        }
+      }
+      EXPECT_EQ(visits.size(), k);
+      // One norm per row, one dot per pair with a nonzero norm product.
+      EXPECT_EQ((m + nonzero_pairs) * d, dot_elems)
+          << "m=" << m << " d=" << d;
+    }
+  }
+}
+
+TEST(PairSweepTest, GatherRowsRejectsMixedDimensions) {
+  const std::vector<Embedding> vectors = {{1.0f, 2.0f}, {3.0f}};
+  std::vector<float> buffer;
+  EXPECT_THROW(
+      GatherRows(vectors.size(),
+                 [&](std::size_t k) -> const Embedding& { return vectors[k]; },
+                 buffer),
+      CheckFailure);
 }
 
 // ------------------------------------------------------ descriptors ------

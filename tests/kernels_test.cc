@@ -8,6 +8,7 @@
 
 #include "kernels/kernels.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -86,6 +87,37 @@ TEST(KernelsEquivalence, DotNormDistanceBitIdentical) {
       EXPECT_EQ(scalar.squared_distance(pa, pb, n),
                 avx2.squared_distance(pa, pb, n))
           << "squared_distance n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(KernelsEquivalence, DotRowsBitIdentical) {
+  // Row counts 0..9 cover no full 4-row pass, one, two, and every row
+  // tail; the dims cover empty rows and every lane-tail shape.
+  const KernelTable& scalar = ScalarTable();
+  Rng rng(11);
+  for (const KernelTable* table : Tables()) {
+    for (std::size_t n : {0, 1, 7, 8, 9, 160, 161}) {
+      for (std::size_t count = 0; count <= 9; ++count) {
+        std::vector<float> a(n), rows(count * n);
+        FillAdversarial(a.data(), n, rng);
+        FillAdversarial(rows.data(), rows.size(), rng);
+        // One sentinel past the end: the op writes exactly `count` outputs.
+        std::vector<double> out(count + 1, -7.0);
+        table->dot_rows(a.data(), rows.data(), count, n, out.data());
+        for (std::size_t r = 0; r < count; ++r) {
+          const float* row = rows.data() + r * n;
+          EXPECT_EQ(Bits(scalar.dot(a.data(), row, n)), Bits(out[r]))
+              << table->name << " n=" << n << " count=" << count
+              << " r=" << r;
+          EXPECT_EQ(Bits(table->dot(a.data(), row, n)), Bits(out[r]))
+              << table->name << " n=" << n << " count=" << count
+              << " r=" << r;
+        }
+        EXPECT_EQ(-7.0, out[count]) << table->name << " n=" << n;
+      }
     }
   }
 }
@@ -329,12 +361,18 @@ TEST(KernelsCounters, WrappersCountMachineIndependentUnits) {
   std::vector<float> planes(5 * 37, 1.0f);
   std::uint64_t sig[1];
   SimHashSignature(planes.data(), 5, a.data(), 37, sig);
+  const OpCounts before_rows = SnapshotOpCounts();
+  double out[5];
+  DotRows(a.data(), planes.data(), 5, 37, out);
+  // count·n, as five Dot calls would add.
+  EXPECT_EQ(5u * 37u, SnapshotOpCounts().dot_elems - before_rows.dot_elems);
   SetOpCountingEnabled(false);
-  // Counting disabled: this call must not move any counter.
+  // Counting disabled: these calls must not move any counter.
   Dot(a.data(), b.data(), a.size());
+  DotRows(a.data(), planes.data(), 5, 37, out);
 
   const OpCounts counts = SnapshotOpCounts();
-  EXPECT_EQ(37u, counts.dot_elems);
+  EXPECT_EQ(37u + 5u * 37u, counts.dot_elems);
   EXPECT_EQ(21u, counts.gain_elems);
   EXPECT_EQ(5u * 37u, counts.simhash_macs);
 
