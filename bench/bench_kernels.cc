@@ -4,6 +4,7 @@
 ///   bench_kernels [--bench-json=BENCH_kernels.json]
 ///       Times every kernel against both tables (scalar and, when the CPU
 ///       has it, AVX2) on a fixed fixture and reports per-op speedups.
+///       Each op's wall is the fastest of kRepetitions timed loops.
 ///       Timing loops call the table function pointers directly, bypassing
 ///       the counting wrappers, so the numbers are pure kernel cost.
 ///
@@ -84,14 +85,22 @@ Fixture MakeFixture(std::uint64_t seed) {
 
 double g_sink = 0.0;  // defeats dead-code elimination across timing loops
 
-/// Times `body` for `calls` iterations and queues one kernel record.
-/// Returns total wall seconds.
+/// Timed loops per op; the fastest one is reported. A single loop let one
+/// descheduling or frequency dip swing a ratio by ~2x between runs.
+constexpr int kRepetitions = 5;
+
+/// Times `body` for `calls` iterations, kRepetitions times, and queues one
+/// kernel record. Returns the fastest loop's wall seconds.
 template <typename Body>
 double TimeOp(const std::string& op, const char* isa, std::size_t calls,
               std::size_t work_per_call, double scalar_wall, Body&& body) {
-  Stopwatch timer;
-  for (std::size_t i = 0; i < calls; ++i) body();
-  const double wall = timer.ElapsedSeconds();
+  double wall = 0.0;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    Stopwatch timer;
+    for (std::size_t i = 0; i < calls; ++i) body();
+    const double loop = timer.ElapsedSeconds();
+    if (rep == 0 || loop < wall) wall = loop;
+  }
   bench::KernelBenchRecord record;
   record.op = op;
   record.isa = isa;

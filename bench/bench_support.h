@@ -116,7 +116,7 @@ struct KernelBenchRecord {
   std::string isa;   ///< table measured, "scalar" or "avx2"
   std::size_t calls = 0;            ///< timed iterations
   std::size_t work_per_call = 0;    ///< machine-independent units per call
-  double wall_seconds = 0.0;        ///< total for all iterations
+  double wall_seconds = 0.0;        ///< total for all iterations of one loop
   double speedup_vs_scalar = 0.0;   ///< 0 when this row IS the scalar row
 };
 

@@ -44,8 +44,11 @@ Corpus GenerateOpenImagesCorpus(const OpenImagesOptions& options) {
   PHOCUS_CHECK(options.vocabulary_size <= kLabelVocabularyCapacity,
                "requested vocabulary larger than the generator can produce");
   Rng rng(options.seed);
-  const ZipfSampler label_popularity(options.vocabulary_size,
-                                     options.label_zipf_exponent);
+  // Process-wide: the popularity checkpoints and the pipeline's projection
+  // below are the same for every call with these options, so an arrival
+  // batch pays only for its own photos.
+  const ZipfSampler& label_popularity = ZipfSampler::Shared(
+      options.vocabulary_size, options.label_zipf_exponent);
 
   // Phase 1: draft photos (scene parameters + labels), sequential because of
   // the near-duplicate chaining.

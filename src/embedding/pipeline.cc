@@ -14,9 +14,9 @@ EmbeddingPipeline::EmbeddingPipeline(EmbeddingPipelineOptions options)
     : options_(options) {
   PHOCUS_CHECK(options_.working_size >= 16, "working size too small");
   if (options_.projection_dim > 0) {
-    projection_ = std::make_shared<RandomProjection>(
-        descriptor_dimension(), options_.projection_dim,
-        options_.projection_seed);
+    projection_ = RandomProjection::Shared(descriptor_dimension(),
+                                          options_.projection_dim,
+                                          options_.projection_seed);
   }
 }
 

@@ -54,7 +54,8 @@ class EmbeddingPipeline {
 
  private:
   EmbeddingPipelineOptions options_;
-  std::shared_ptr<const class RandomProjection> projection_;  // null if off
+  // RandomProjection::Shared's process-wide matrix; null if off.
+  std::shared_ptr<const class RandomProjection> projection_;
 };
 
 }  // namespace phocus

@@ -1,6 +1,9 @@
 #include "embedding/projection.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -17,6 +20,24 @@ RandomProjection::RandomProjection(std::size_t input_dim,
   for (float& entry : matrix_) {
     entry = static_cast<float>(rng.Normal()) * scale;
   }
+}
+
+std::shared_ptr<const RandomProjection> RandomProjection::Shared(
+    std::size_t input_dim, std::size_t output_dim, std::uint64_t seed) {
+  // Leaked: outlives every worker thread that may still be projecting.
+  static std::mutex* mutex = new std::mutex();
+  static auto* memo =
+      new std::map<std::tuple<std::size_t, std::size_t, std::uint64_t>,
+                   std::shared_ptr<const RandomProjection>>();
+  const std::lock_guard<std::mutex> lock(*mutex);
+  auto it = memo->find({input_dim, output_dim, seed});
+  if (it == memo->end()) {
+    it = memo->emplace(std::make_tuple(input_dim, output_dim, seed),
+                       std::make_shared<const RandomProjection>(
+                           input_dim, output_dim, seed))
+             .first;
+  }
+  return it->second;
 }
 
 Embedding RandomProjection::Apply(const Embedding& input) const {

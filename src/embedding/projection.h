@@ -2,6 +2,7 @@
 #define PHOCUS_EMBEDDING_PROJECTION_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "embedding/vector_ops.h"
 
@@ -20,6 +21,12 @@ class RandomProjection {
   /// \param seed matrix seed; the same (dims, seed) always yields the same map
   RandomProjection(std::size_t input_dim, std::size_t output_dim,
                    std::uint64_t seed);
+
+  /// The process-wide projection for (input_dim, output_dim, seed): drawn
+  /// once on first use and immutable after, so every pipeline with the same
+  /// options shares one matrix instead of redrawing it.
+  static std::shared_ptr<const RandomProjection> Shared(
+      std::size_t input_dim, std::size_t output_dim, std::uint64_t seed);
 
   /// Projects and returns the reduced vector (entries scaled by
   /// 1/sqrt(output_dim) so expected norms are preserved).

@@ -160,14 +160,16 @@ const ArchivePlan& IncrementalArchiver::AddPhotos(
 }
 
 const ArchivePlan& IncrementalArchiver::SetBudget(
-    Cost budget, IncrementalUpdateStats* stats) {
+    Cost budget, IncrementalUpdateStats* stats,
+    std::optional<ParInstance> built) {
   return ReplanAfter(
-      [&](IncrementalUpdateStats*) { SetBudgetDeferred(budget); }, stats);
+      [&](IncrementalUpdateStats*) { SetBudgetDeferred(budget); }, stats,
+      std::move(built));
 }
 
 const ArchivePlan& IncrementalArchiver::ReplanAfter(
     const std::function<void(IncrementalUpdateStats*)>& defer,
-    IncrementalUpdateStats* stats) {
+    IncrementalUpdateStats* stats, std::optional<ParInstance> built) {
   // Photos/subsets only grow (truncate back to the old size), but
   // `required` is sorted + deduplicated in place, so it needs a full copy.
   // Plans are never changed in place, so the old one is kept by reference.
@@ -180,7 +182,7 @@ const ArchivePlan& IncrementalArchiver::ReplanAfter(
   IncrementalUpdateStats local_stats;
   defer(&local_stats);
   try {
-    Replan(local_stats);
+    Replan(local_stats, std::move(built));
   } catch (...) {
     // Keep the archiver consistent: a failed replan (infeasible budget,
     // injected fault) must not leave appended photos in a corpus whose
@@ -238,16 +240,17 @@ void IncrementalArchiver::AddPhotosDeferred(
   if (stats != nullptr) *stats = local_stats;
 }
 
-DriftEstimate IncrementalArchiver::EstimateDrift() {
+DriftCheck IncrementalArchiver::EstimateDrift() {
   PHOCUS_CHECK(initialized_, "EstimateDrift before Initialize");
   telemetry::TraceSpan span("incremental.drift");
-  const ParInstance instance =
-      BuildInstance(corpus_, options_.archive.budget,
-                    options_.archive.representation);
+  DriftCheck check;
+  check.instance = BuildInstance(corpus_, options_.archive.budget,
+                                 options_.archive.representation);
   telemetry::MetricsRegistry::Current()
       .GetCounter("incremental.drift_evals")
       .Increment();
-  return EstimateObjectiveDrift(instance, plan_->retained);
+  check.estimate = EstimateObjectiveDrift(check.instance, plan_->retained);
+  return check;
 }
 
 const ArchivePlan& IncrementalArchiver::ReplanNow(
@@ -265,13 +268,20 @@ void IncrementalArchiver::SetBudgetDeferred(Cost budget) {
   options_.archive.budget = budget;
 }
 
-void IncrementalArchiver::Replan(IncrementalUpdateStats& stats) {
+void IncrementalArchiver::Replan(IncrementalUpdateStats& stats,
+                                 std::optional<ParInstance> built) {
   PHOCUS_FAILPOINT("incremental.replan");
   telemetry::TraceSpan span("incremental.replan");
   telemetry::TraceSpan build("incremental.stage.build_instance");
+  build.SetAttribute("reused", static_cast<std::uint64_t>(built.has_value()));
+  PHOCUS_CHECK(!built.has_value() ||
+                   (built->num_photos() == corpus_.num_photos() &&
+                    built->budget() == options_.archive.budget),
+               "a prebuilt instance must match the corpus and budget");
   const ParInstance instance =
-      BuildInstance(corpus_, options_.archive.budget,
-                    options_.archive.representation);
+      built.has_value() ? std::move(*built)
+                        : BuildInstance(corpus_, options_.archive.budget,
+                                        options_.archive.representation);
   // Surface an unsatisfiable budget as the typed error (with the numbers a
   // caller needs to pick a feasible one) before generic validation reports
   // it as a plain CheckFailure.

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/online_bound.h"
@@ -81,6 +82,14 @@ std::vector<PhotoId> FitSeedToBudget(const ParInstance& instance,
                                      std::vector<PhotoId>& seed,
                                      IncrementalUpdateStats* stats = nullptr);
 
+/// A drift estimate and the instance it was computed on. A replan right
+/// after it sees the same corpus and budget, so it can take this instance
+/// instead of building it again (SetBudget's `built`).
+struct DriftCheck {
+  DriftEstimate estimate;
+  ParInstance instance;
+};
+
 class IncrementalArchiver {
  public:
   explicit IncrementalArchiver(IncrementalOptions options);
@@ -113,9 +122,12 @@ class IncrementalArchiver {
 
   /// Changes the budget and re-plans incrementally (eviction/top-up only).
   /// SetBudgetDeferred + ReplanNow; a failed replan (e.g.
-  /// InfeasibleBudgetError) restores the previous budget and plan.
+  /// InfeasibleBudgetError) restores the previous budget and plan. `built`,
+  /// if given, is the instance EstimateDrift returned for this corpus and
+  /// budget; the replan uses it instead of building its own.
   const ArchivePlan& SetBudget(Cost budget,
-                               IncrementalUpdateStats* stats = nullptr);
+                               IncrementalUpdateStats* stats = nullptr,
+                               std::optional<ParInstance> built = {});
 
   /// Streaming-mode append: validates member/required ids against the
   /// grown corpus and appends, but does NOT replan. Arrivals are
@@ -132,8 +144,8 @@ class IncrementalArchiver {
   /// Certified upper bound on how much a replan could improve on the current
   /// retained set under the current (possibly deferred-grown) corpus and
   /// budget. Pure query — no plan mutation; it builds the instance the way
-  /// a replan does.
-  DriftEstimate EstimateDrift();
+  /// a replan does and hands it back with the estimate.
+  DriftCheck EstimateDrift();
 
   /// Replans now against the current corpus/budget — the explicit trigger
   /// that absorbs deferred appends into a fresh plan. On failure (infeasible
@@ -162,8 +174,9 @@ class IncrementalArchiver {
   /// restores the state from before `defer` and rethrows.
   const ArchivePlan& ReplanAfter(
       const std::function<void(IncrementalUpdateStats*)>& defer,
-      IncrementalUpdateStats* stats);
-  void Replan(IncrementalUpdateStats& stats);
+      IncrementalUpdateStats* stats, std::optional<ParInstance> built = {});
+  void Replan(IncrementalUpdateStats& stats,
+              std::optional<ParInstance> built = {});
 
   IncrementalOptions options_;
   Corpus corpus_;

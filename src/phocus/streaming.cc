@@ -263,12 +263,14 @@ void StreamingArchiver::MaybeReplan(bool force, IngestOutcome* outcome) {
   }
 
   const char* reason = nullptr;
+  std::optional<ParInstance> built;
   if (force) {
     reason = "flush";
   } else if (options_.replan_every_batch) {
     reason = "per_batch";
   } else {
-    outcome->drift = archiver_.EstimateDrift();
+    DriftCheck check = archiver_.EstimateDrift();
+    outcome->drift = check.estimate;
     outcome->drift_evaluated = true;
     ++drift_evals_;
     if (outcome->drift.relative_drift > options_.epsilon) {
@@ -282,13 +284,15 @@ void StreamingArchiver::MaybeReplan(bool force, IngestOutcome* outcome) {
       registry.GetCounter("ingest.replans_skipped").Increment();
       return;
     }
+    built = std::move(check.instance);
   }
 
-  CommitReplan(reason, archiver_.budget(), outcome);
+  CommitReplan(reason, archiver_.budget(), outcome, std::move(built));
 }
 
 void StreamingArchiver::CommitReplan(const char* reason, Cost budget,
-                                     IngestOutcome* outcome) {
+                                     IngestOutcome* outcome,
+                                     std::optional<ParInstance> built) {
   auto& registry = telemetry::MetricsRegistry::Current();
   // A fault here (injected crash, infeasible budget) leaves the archiver on
   // its previous plan and budget (SetBudget's rollback) with the drained
@@ -296,7 +300,7 @@ void StreamingArchiver::CommitReplan(const char* reason, Cost budget,
   // Flush retries the replan — nothing is lost.
   PHOCUS_FAILPOINT("ingest.replan");
   const std::size_t folded_in = archiver_.deferred_photos();
-  archiver_.SetBudget(budget, &outcome->stats);
+  archiver_.SetBudget(budget, &outcome->stats, std::move(built));
   if (wal_ != nullptr) {
     // Commit marker first: once it is durable, every crash window between
     // here and the end of Rotate replays to this exact post-replan state

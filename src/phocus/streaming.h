@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -220,7 +221,10 @@ class StreamingArchiver {
   void MaybeReplan(bool force, IngestOutcome* outcome);
   /// The one commit step: replans at `budget`, journals the commit marker,
   /// rotates the WAL, and updates counters, flight event and staleness clock.
-  void CommitReplan(const char* reason, Cost budget, IngestOutcome* outcome);
+  /// `built` is the instance MaybeReplan's drift estimate just built, if it
+  /// made one; the replan then takes it instead of building its own.
+  void CommitReplan(const char* reason, Cost budget, IngestOutcome* outcome,
+                    std::optional<ParInstance> built = {});
   WalCheckpoint MakeCheckpoint() const;
 
   StreamingOptions options_;

@@ -2,34 +2,89 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace phocus {
 
-ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
+namespace {
+
+/// Rank k's unnormalized mass. The constructor and every block re-sum add
+/// these terms in the same order from the same checkpoint, so a re-summed
+/// running total is bit-equal to the one the constructor saw.
+double ZipfTerm(std::size_t k, double exponent) {
+  return 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+}
+
+}  // namespace
+
+ZipfSampler::ZipfSampler(std::size_t n, double exponent)
+    : n_(n), exponent_(exponent) {
   PHOCUS_CHECK(n > 0, "ZipfSampler requires n > 0");
   PHOCUS_CHECK(exponent >= 0.0, "Zipf exponent must be nonnegative");
-  cdf_.resize(n);
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  block_start_.resize(blocks);
+  block_last_.resize(blocks);
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
-    cdf_[k] = total;
+    if (k % kBlock == 0) block_start_[k / kBlock] = total;
+    total += ZipfTerm(k, exponent);
+    if (k % kBlock == kBlock - 1 || k == n - 1) block_last_[k / kBlock] = total;
   }
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;
+  total_ = total;
+  for (double& c : block_last_) c /= total;
+  block_last_.back() = 1.0;
+}
+
+const ZipfSampler& ZipfSampler::Shared(std::size_t n, double exponent) {
+  // Leaked: outlives every worker thread that may still be drawing.
+  static std::mutex* mutex = new std::mutex();
+  static auto* memo =
+      new std::map<std::pair<std::size_t, double>,
+                   std::unique_ptr<const ZipfSampler>>();
+  const std::lock_guard<std::mutex> lock(*mutex);
+  auto it = memo->find({n, exponent});
+  if (it == memo->end()) {
+    it = memo->emplace(std::make_pair(n, exponent),
+                       std::make_unique<const ZipfSampler>(n, exponent))
+             .first;
+  }
+  return *it->second;
 }
 
 std::size_t ZipfSampler::Sample(Rng& rng) const {
   const double u = rng.UniformDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // The first rank whose CDF reaches u lies in the first block whose last
+  // CDF does; within it, re-sum until the running CDF reaches u.
+  auto it = std::lower_bound(block_last_.begin(), block_last_.end(), u);
+  if (it == block_last_.end()) return n_ - 1;
+  const std::size_t block = static_cast<std::size_t>(it - block_last_.begin());
+  const std::size_t last = std::min((block + 1) * kBlock, n_) - 1;
+  double total = block_start_[block];
+  for (std::size_t k = block * kBlock; k < last; ++k) {
+    total += ZipfTerm(k, exponent_);
+    if (total / total_ >= u) return k;
+  }
+  return last;  // block_last_[block] >= u
 }
 
 double ZipfSampler::Probability(std::size_t k) const {
-  PHOCUS_CHECK(k < cdf_.size(), "Zipf rank out of range");
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  PHOCUS_CHECK(k < n_, "Zipf rank out of range");
+  // CDF(k) − CDF(k − 1), each as the full table held it (CDF(−1) = 0).
+  const std::size_t block = k / kBlock;
+  double total = block_start_[block];
+  double previous = block == 0 ? 0.0 : block_last_[block - 1];
+  for (std::size_t r = block * kBlock; r < k; ++r) {
+    total += ZipfTerm(r, exponent_);
+    previous = total / total_;
+  }
+  const double cdf =
+      k == n_ - 1 ? 1.0 : (total + ZipfTerm(k, exponent_)) / total_;
+  return cdf - previous;
 }
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {

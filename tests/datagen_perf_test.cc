@@ -10,28 +10,48 @@
 /// \file datagen_perf_test.cc
 /// Machine-independent allocation guard for server-side arrival generation
 /// (ctest label `perf`): every `ingest` / `update` generates its photos with
-/// GenerateOpenImagesCorpus, so its allocation count is a fixed per-call
-/// cost. The global operator new is replaced by a counting one; a 16-photo
-/// call must stay far below the ~195 000 allocations it made while the
-/// 200 000-label vocabulary was materialized per call (~700 without it).
+/// GenerateOpenImagesCorpus, so what one call allocates is a fixed per-call
+/// cost. The global operator new is replaced by a counting one that also
+/// records sizes. A 16-photo call must stay far below the ~195 000
+/// allocations it made while the 200 000-label vocabulary was materialized
+/// per call (~700 without it), and must allocate no table sized by the
+/// vocabulary or the projection: the 1 600 000 B Zipf CDF and the
+/// 634 880 B projection matrix it once rebuilt per call (7.2 MB in all)
+/// are now built once per process.
 
 namespace {
 
+/// Blocks at least this large count as tables, not per-photo buffers.
+constexpr std::size_t kLargeBlock = 256 * 1024;
+
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
+std::atomic<std::size_t> g_large_blocks{0};
+std::atomic<std::size_t> g_largest{0};
+
+void Count(std::size_t size) {
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (size >= kLargeBlock) {
+    g_large_blocks.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
+}
 
 void* CountedAlloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
+  Count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
+  Count(size);
   const std::size_t alignment = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded =
@@ -76,29 +96,55 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace phocus {
 namespace {
 
+struct CallAllocations {
+  std::size_t count = 0;
+  std::size_t bytes = 0;
+  std::size_t large_blocks = 0;  // blocks of at least kLargeBlock bytes
+  std::size_t largest = 0;
+};
+
 /// Allocations made by one GenerateOpenImagesCorpus call, counted on every
 /// thread (the render/embed phase fans out over the global pool).
-std::size_t AllocationsOfOneCall(const OpenImagesOptions& options) {
+CallAllocations AllocationsOfOneCall(const OpenImagesOptions& options) {
   g_allocations.store(0);
+  g_bytes.store(0);
+  g_large_blocks.store(0);
+  g_largest.store(0);
   g_counting.store(true);
   const Corpus corpus = GenerateOpenImagesCorpus(options);
   g_counting.store(false);
   EXPECT_EQ(corpus.num_photos(), options.num_photos);
-  return g_allocations.load();
+  return {g_allocations.load(), g_bytes.load(), g_large_blocks.load(),
+          g_largest.load()};
 }
 
-TEST(DatagenPerfTest, SixteenPhotoArrivalMakesFewerThanAThousandAllocations) {
-  // phocusd's arrival options: the default 200 000-label vocabulary.
+/// phocusd's arrival options: the default 200 000-label vocabulary.
+OpenImagesOptions SixteenPhotoArrival() {
   OpenImagesOptions options;
   options.num_photos = 16;
   options.seed = 3;
-  // Warm up once: the global thread pool, kernel tables and telemetry
-  // registries are built on first use, not per call.
-  AllocationsOfOneCall(options);
-  const std::size_t allocations = AllocationsOfOneCall(options);
-  RecordProperty("allocations", static_cast<int>(allocations));
-  EXPECT_LT(allocations, 1000u);
-  EXPECT_GT(allocations, 0u);  // the counting operator new is live
+  return options;
+}
+
+TEST(DatagenPerfTest, SixteenPhotoArrivalMakesFewerThanAThousandAllocations) {
+  // Warm up once: the global thread pool, kernel tables, telemetry
+  // registries and the generator's shared tables are built on first use,
+  // not per call.
+  AllocationsOfOneCall(SixteenPhotoArrival());
+  const CallAllocations call = AllocationsOfOneCall(SixteenPhotoArrival());
+  RecordProperty("allocations", static_cast<int>(call.count));
+  EXPECT_LT(call.count, 1000u);
+  EXPECT_GT(call.count, 0u);  // the counting operator new is live
+}
+
+TEST(DatagenPerfTest, SixteenPhotoArrivalAllocatesNoPerCallTable) {
+  AllocationsOfOneCall(SixteenPhotoArrival());
+  const CallAllocations call = AllocationsOfOneCall(SixteenPhotoArrival());
+  RecordProperty("bytes", static_cast<int>(call.bytes));
+  RecordProperty("largest", static_cast<int>(call.largest));
+  EXPECT_EQ(call.large_blocks, 0u) << "largest block " << call.largest << " B";
+  EXPECT_LT(call.bytes, 5u * 1024 * 1024);
+  EXPECT_GT(call.bytes, 0u);
 }
 
 }  // namespace

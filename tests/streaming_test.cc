@@ -15,6 +15,7 @@
 #include "core/online_bound.h"
 #include "datagen/corpus_io.h"
 #include "datagen/openimages.h"
+#include "kernels/kernels.h"
 #include "phocus/ingest_wal.h"
 #include "phocus/representation.h"
 #include "phocus/streaming.h"
@@ -219,6 +220,55 @@ TEST(StreamingScenario, BurstyUploadsReplanStrictlyLessThanPerBatch) {
   // Staying below ε may cost quality, but never more than ε per skip — the
   // final flush replans on the full corpus, so the end states are close.
   EXPECT_GE(drift_mode.plan().score, 0.9 * per_batch.plan().score);
+}
+
+// ---------------------------------------------------------------------------
+// A drift-triggered replan runs on the instance its drift estimate built: the
+// ingest that drains, estimates and replans pays for one build, not two.
+// ---------------------------------------------------------------------------
+
+TEST(StreamingScenario, DriftTriggeredReplanBuildsTheInstanceOnce) {
+  const Corpus base = BaseCorpus();
+  StreamingOptions options = BaseStreaming(base);
+  options.epsilon = 0.0;  // any possible gain replans
+  options.batch_photos = 8;
+  StreamingArchiver archiver(options);
+  archiver.Initialize(base);
+  IngestBatch batch = ArrivalBatch(8, 5, 60);  // generated before counting
+
+  struct Work {
+    std::uint64_t candidate_pairs;
+    std::uint64_t dot_elems;
+  };
+  auto measure = [](const std::function<void()>& body) {
+    const std::uint64_t pairs = CounterValue("lsh.candidate_pairs");
+    kernels::ResetOpCounts();
+    kernels::SetOpCountingEnabled(true);
+    body();
+    kernels::SetOpCountingEnabled(false);
+    return Work{CounterValue("lsh.candidate_pairs") - pairs,
+                kernels::SnapshotOpCounts().dot_elems};
+  };
+
+  IngestOutcome outcome;
+  const Work ingest =
+      measure([&] { outcome = archiver.Ingest(std::move(batch)); });
+  ASSERT_TRUE(outcome.drift_evaluated);
+  ASSERT_TRUE(outcome.replanned);
+  EXPECT_EQ(outcome.reason, "drift_exceeded");
+  EXPECT_EQ(archiver.drift_evals(), 1u);
+
+  // One build of the same post-absorb corpus, on its own.
+  const Work build = measure([&] {
+    BuildInstance(archiver.corpus(), archiver.budget(),
+                  options.incremental.archive.representation);
+  });
+  ASSERT_GT(build.candidate_pairs, 0u);
+  EXPECT_EQ(ingest.candidate_pairs, build.candidate_pairs);
+  // The solver's weighted sums count as dot elements too (about 5% of a
+  // build here), so the dots are bracketed: one build, less than two.
+  EXPECT_GE(ingest.dot_elems, build.dot_elems);
+  EXPECT_LT(ingest.dot_elems, 2 * build.dot_elems);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <latch>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "datagen/corpus_io.h"
+#include "datagen/openimages.h"
+#include "service/protocol.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -146,6 +155,104 @@ TEST(ZipfTest, SamplingMatchesProbabilities) {
   for (int i = 0; i < draws; ++i) ++counts[zipf.Sample(rng)];
   for (std::size_t k = 0; k < 5; ++k) {
     EXPECT_NEAR(counts[k] / static_cast<double>(draws), zipf.Probability(k), 0.01);
+  }
+}
+
+/// The full cumulative table ZipfSampler kept before its block checkpoints:
+/// the oracle its Probability and Sample must match bit for bit.
+class FullTableZipf {
+ public:
+  FullTableZipf(std::size_t n, double exponent) : cdf_(n) {
+    double total = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+      cdf_[k] = total;
+    }
+    for (double& c : cdf_) c /= total;
+    cdf_.back() = 1.0;
+  }
+
+  std::size_t Sample(Rng& rng) const {
+    const double u = rng.UniformDouble();
+    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    if (it == cdf_.end()) return cdf_.size() - 1;
+    return static_cast<std::size_t>(it - cdf_.begin());
+  }
+
+  double Probability(std::size_t k) const {
+    return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+TEST(ZipfTest, BlockCheckpointsMatchTheFullTableBitForBit) {
+  // Sizes straddle the block edges (kBlock = 256) and reach phocusd's
+  // 200 000-label vocabulary; the exponents include the uniform case, the
+  // classic Zipf and the arrival generator's 1.8.
+  static_assert(ZipfSampler::kBlock == 256);
+  for (const std::size_t n : {1u, 2u, 255u, 256u, 257u, 1000u, 200000u}) {
+    for (const double s : {0.0, 1.0, 1.1, 1.8}) {
+      const ZipfSampler zipf(n, s);
+      const FullTableZipf oracle(n, s);
+      ASSERT_EQ(zipf.size(), n);
+      std::size_t mismatches = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (std::bit_cast<std::uint64_t>(zipf.Probability(k)) !=
+            std::bit_cast<std::uint64_t>(oracle.Probability(k))) {
+          if (mismatches++ == 0) {
+            ADD_FAILURE() << "n=" << n << " s=" << s << " P(" << k
+                          << ") = " << zipf.Probability(k) << ", table has "
+                          << oracle.Probability(k);
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+      Rng a(n * 31 + static_cast<std::uint64_t>(s * 10));
+      Rng b(n * 31 + static_cast<std::uint64_t>(s * 10));
+      std::size_t draw_mismatches = 0;
+      for (int i = 0; i < 100000; ++i) {
+        if (zipf.Sample(a) != oracle.Sample(b)) ++draw_mismatches;
+      }
+      EXPECT_EQ(draw_mismatches, 0u) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfTest, SharedReturnsOneSamplerPerParameters) {
+  const ZipfSampler& a = ZipfSampler::Shared(300, 1.8);
+  EXPECT_EQ(&a, &ZipfSampler::Shared(300, 1.8));
+  EXPECT_NE(&a, &ZipfSampler::Shared(300, 1.1));
+  EXPECT_NE(&a, &ZipfSampler::Shared(301, 1.8));
+  EXPECT_EQ(a.size(), 300u);
+  EXPECT_THROW(ZipfSampler::Shared(0, 1.0), CheckFailure);
+}
+
+TEST(ArrivalConcurrencyTest, FourConcurrentArrivalsKeepThePinnedChecksums) {
+  // Four threads generate 16-photo arrivals at once, racing the first build
+  // of the process-wide Zipf checkpoints and projection. The pins are
+  // OpenImagesTest.EncodedCorpusMatchesPinnedChecksums' 16-photo rows.
+  constexpr std::uint64_t kPins[] = {0xe5f656eb56e1accfULL,
+                                     0x2c4a9818653d1b5aULL};
+  constexpr std::uint64_t kSeeds[] = {1, 7};
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::uint64_t> checksums(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      OpenImagesOptions options;
+      options.num_photos = 16;
+      options.seed = kSeeds[t % 2];
+      start.arrive_and_wait();
+      checksums[t] =
+          service::Fnv64(EncodeCorpus(GenerateOpenImagesCorpus(options)));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(checksums[t], kPins[t % 2]) << "thread " << t;
   }
 }
 
